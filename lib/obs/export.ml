@@ -23,10 +23,8 @@ let tid_table collector =
   List.iter (fun mk -> ignore (tid mk.Engine.Span.mk_node)) (Engine.Span.marks collector);
   tids
 
-let args_json extra attrs =
-  match extra @ List.rev_map (fun (k, v) -> (k, Json.String v)) attrs with
-  | [] -> []
-  | fields -> [ ("args", Json.Obj fields) ]
+(* [attrs] are newest first; the args list holds them oldest first. *)
+let attr_fields attrs = List.rev_map (fun (k, v) -> (k, Json.String v)) attrs
 
 let catapult_json lineage =
   let collector = Lineage.collector lineage in
@@ -47,21 +45,21 @@ let catapult_json lineage =
   let flow = ref 0 in
   Engine.Span.iter collector (fun sp ->
       let open Engine.Span in
-      let extra =
-        (match sp.sp_drop with
-         | None -> []
-         | Some r -> [ ("drop", Json.String (drop_reason_name r)) ])
-        @ [ ("trace", Json.Int sp.sp_trace) ]
+      let args = ("trace", Json.Int sp.sp_trace) :: attr_fields sp.sp_attrs in
+      let args =
+        match sp.sp_drop with
+        | None -> args
+        | Some r -> ("drop", Json.String (drop_reason_name r)) :: args
       in
       emit
         (Json.Obj
-           ([ ("name", Json.String sp.sp_name);
-              ("ph", Json.String "X");
-              ("pid", Json.Int 0);
-              ("tid", Json.Int (tid sp.sp_node));
-              ("ts", Json.float (usec sp.sp_start));
-              ("dur", Json.float (Float.max 0.0 (usec sp.sp_end -. usec sp.sp_start))) ]
-            @ args_json extra sp.sp_attrs));
+           [ ("name", Json.String sp.sp_name);
+             ("ph", Json.String "X");
+             ("pid", Json.Int 0);
+             ("tid", Json.Int (tid sp.sp_node));
+             ("ts", Json.float (usec sp.sp_start));
+             ("dur", Json.float (Float.max 0.0 (usec sp.sp_end -. usec sp.sp_start)));
+             ("args", Json.Obj args) ]);
       if sp.sp_cause >= 0 then begin
         let cause = Engine.Span.get collector sp.sp_cause in
         incr flow;
@@ -89,15 +87,18 @@ let catapult_json lineage =
   List.iter
     (fun mk ->
       let open Engine.Span in
+      let tail =
+        if mk.mk_attrs = [] then [] else [ ("args", Json.Obj (attr_fields mk.mk_attrs)) ]
+      in
       emit
         (Json.Obj
-           ([ ("name", Json.String mk.mk_name);
-              ("ph", Json.String "i");
-              ("s", Json.String "t");
-              ("pid", Json.Int 0);
-              ("tid", Json.Int (tid mk.mk_node));
-              ("ts", Json.float (usec mk.mk_at)) ]
-            @ args_json [] mk.mk_attrs)))
+           (("name", Json.String mk.mk_name)
+            :: ("ph", Json.String "i")
+            :: ("s", Json.String "t")
+            :: ("pid", Json.Int 0)
+            :: ("tid", Json.Int (tid mk.mk_node))
+            :: ("ts", Json.float (usec mk.mk_at))
+            :: tail)))
     (Engine.Span.marks collector);
   Json.Obj
     [ ("traceEvents", Json.List (List.rev !events));

@@ -17,20 +17,31 @@ let opt f = function
 
 let strings ss = List (List.map (fun s -> String s) ss)
 
+let hex_digit n = "0123456789abcdef".[n]
+
+(* Runs of characters that need no escaping are copied whole. *)
+let rec add_escaped_from buf s start i =
+  if i = String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+      Buffer.add_substring buf s start (i - start);
+      (match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | c ->
+         Buffer.add_string buf "\\u00";
+         Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+         Buffer.add_char buf (hex_digit (Char.code c land 0xf)));
+      add_escaped_from buf s (i + 1) (i + 1)
+    | _ -> add_escaped_from buf s start (i + 1)
+
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped_from buf s 0 0;
   Buffer.add_char buf '"'
 
 let escape_string s =
@@ -38,70 +49,111 @@ let escape_string s =
   add_escaped buf s;
   Buffer.contents buf
 
-(* Shortest representation that is still a JSON number and round-trips
-   the float: %.17g is exact but ugly, so try shorter forms first. *)
-let add_float buf f =
-  if not (Float.is_finite f) then Buffer.add_string buf "null"
+(* The C primitive behind [Printf]'s [%g], without the format
+   interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Shortest of %.12g, %.15g and %.17g that round-trips the float (the
+   last always does); bare integers get ".0" so the value reads back as
+   a float, while "1e+06" is already one. *)
+let float_repr f =
+  let round_trips s = float_of_string s = f in
+  let s12 = format_float "%.12g" f in
+  let repr =
+    if round_trips s12 then s12
+    else
+      let s15 = format_float "%.15g" f in
+      if round_trips s15 then s15 else format_float "%.17g" f
+  in
+  if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') repr then repr ^ ".0"
+  else repr
+
+(* A float costs up to three formats and two parses, and a document's
+   floats repeat (a packet's spans share their timestamps), so each
+   [to_buffer] call memoises them.  Keys compare by IEEE bit pattern so
+   -0.0 and 0.0 stay distinct. *)
+module Float_memo = Hashtbl.Make (struct
+  type t = float
+
+  let equal a b = Int64.bits_of_float a = Int64.bits_of_float b
+  let hash = Hashtbl.hash
+end)
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else if i = min_int then Buffer.add_string buf (string_of_int i) (* -i overflows *)
   else begin
-    let repr =
-      let try_prec p =
-        let s = Printf.sprintf "%.*g" p f in
-        if float_of_string s = f then Some s else None
-      in
-      match try_prec 12 with
-      | Some s -> s
-      | None -> (
-        match try_prec 15 with
-        | Some s -> s
-        | None -> Printf.sprintf "%.17g" f)
-    in
-    Buffer.add_string buf repr;
-    (* "1e+06" has no dot but is a valid JSON float; bare integers get
-       one so the value reads back as a float. *)
-    if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') repr then
-      Buffer.add_string buf ".0"
+    Buffer.add_char buf '-';
+    add_digits buf (-i)
   end
 
 let to_buffer ?(pretty = false) buf v =
+  let memo = Float_memo.create 16 in
+  let add_float f =
+    if not (Float.is_finite f) then Buffer.add_string buf "null"
+    else
+      match Float_memo.find memo f with
+      | repr -> Buffer.add_string buf repr
+      | exception Not_found ->
+        let repr = float_repr f in
+        Float_memo.add memo f repr;
+        Buffer.add_string buf repr
+  in
   let newline depth =
     Buffer.add_char buf '\n';
     for _ = 1 to 2 * depth do
       Buffer.add_char buf ' '
     done
   in
+  let separator depth =
+    Buffer.add_char buf ',';
+    if pretty then newline depth
+  in
   let rec emit depth v =
     match v with
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f -> add_float buf f
+    | Int i -> add_int buf i
+    | Float f -> add_float f
     | String s -> add_escaped buf s
     | List [] -> Buffer.add_string buf "[]"
-    | List items ->
-      container depth '[' ']' (List.map (fun item d -> emit d item) items)
+    | List (item :: items) ->
+      open_container depth '[';
+      emit (depth + 1) item;
+      emit_items (depth + 1) items;
+      close_container depth ']'
     | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-      container depth '{' '}'
-        (List.map
-           (fun (k, v) d ->
-             add_escaped buf k;
-             Buffer.add_string buf (if pretty then ": " else ":");
-             emit d v)
-           fields)
-  and container depth open_c close_c emitters =
-    Buffer.add_char buf open_c;
-    let inner = depth + 1 in
-    if pretty then newline inner;
-    List.iteri
-      (fun i emit_one ->
-        if i > 0 then begin
-          Buffer.add_char buf ',';
-          if pretty then newline inner
-        end;
-        emit_one inner)
-      emitters;
+    | Obj (field :: fields) ->
+      open_container depth '{';
+      emit_field (depth + 1) field;
+      emit_fields (depth + 1) fields;
+      close_container depth '}'
+  and emit_items depth = function
+    | [] -> ()
+    | item :: items ->
+      separator depth;
+      emit depth item;
+      emit_items depth items
+  and emit_field depth (k, v) =
+    add_escaped buf k;
+    Buffer.add_string buf (if pretty then ": " else ":");
+    emit depth v
+  and emit_fields depth = function
+    | [] -> ()
+    | field :: fields ->
+      separator depth;
+      emit_field depth field;
+      emit_fields depth fields
+  and open_container depth c =
+    Buffer.add_char buf c;
+    if pretty then newline (depth + 1)
+  and close_container depth c =
     if pretty then newline depth;
-    Buffer.add_char buf close_c
+    Buffer.add_char buf c
   in
   emit 0 v
 
@@ -111,7 +163,9 @@ let to_string ?pretty v =
   Buffer.contents buf
 
 let to_channel ?pretty oc v =
-  output_string oc (to_string ?pretty v);
+  let buf = Buffer.create 256 in
+  to_buffer ?pretty buf v;
+  Buffer.output_buffer oc buf;
   output_char oc '\n'
 
 let write_file ?pretty ~path v =
@@ -178,11 +232,19 @@ let utf8_of_code buf code =
 
 let parse_hex4 cur =
   if cur.pos + 4 > String.length cur.text then fail cur "truncated \\u escape";
-  let s = String.sub cur.text cur.pos 4 in
+  let digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> fail cur "invalid \\u escape"
+  in
+  let v = ref 0 in
+  for k = 0 to 3 do
+    v := (!v lsl 4) lor digit cur.text.[cur.pos + k]
+  done;
   cur.pos <- cur.pos + 4;
-  match int_of_string_opt ("0x" ^ s) with
-  | Some v -> v
-  | None -> fail cur "invalid \\u escape"
+  !v
 
 let parse_string cur =
   expect cur '"';
@@ -214,6 +276,7 @@ let parse_string cur =
              if lo < 0xDC00 || lo > 0xDFFF then fail cur "unpaired surrogate";
              0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
            end
+           else if hi >= 0xDC00 && hi <= 0xDFFF then fail cur "unpaired surrogate"
            else hi
          in
          utf8_of_code buf code
@@ -229,28 +292,40 @@ let parse_string cur =
   loop ();
   Buffer.contents buf
 
+(* The RFC 8259 grammar: an optional minus, then 0 or a digit run
+   without a leading zero, then optionally a dot and at least one
+   digit, then optionally e/E, an optional sign and at least one
+   digit. *)
 let parse_number cur =
   let start = cur.pos in
-  let is_number_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let is_digit = function Some '0' .. '9' -> true | Some _ | None -> false in
+  let digits () =
+    if not (is_digit (peek cur)) then fail cur "expected a digit";
+    while is_digit (peek cur) do
+      advance cur
+    done
   in
-  while (match peek cur with Some c -> is_number_char c | None -> false) do
-    advance cur
-  done;
+  if peek cur = Some '-' then advance cur;
+  if peek cur = Some '0' then advance cur else digits ();
+  let fraction = peek cur = Some '.' in
+  if fraction then begin
+    advance cur;
+    digits ()
+  end;
+  let exponent = match peek cur with Some ('e' | 'E') -> true | Some _ | None -> false in
+  if exponent then begin
+    advance cur;
+    (match peek cur with Some ('+' | '-') -> advance cur | Some _ | None -> ());
+    digits ()
+  end;
   let s = String.sub cur.text start (cur.pos - start) in
-  let has_float_syntax = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s in
-  if not has_float_syntax then
-    match int_of_string_opt s with
-    | Some i -> Int i
-    | None -> (
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> fail cur (Printf.sprintf "invalid number %S" s))
-  else
+  let as_float () =
     match float_of_string_opt s with
     | Some f -> Float f
     | None -> fail cur (Printf.sprintf "invalid number %S" s)
+  in
+  if fraction || exponent then as_float ()
+  else match int_of_string_opt s with Some i -> Int i | None -> as_float ()
 
 let rec parse_value cur =
   skip_ws cur;

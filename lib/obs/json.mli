@@ -17,7 +17,16 @@ type t =
   | Obj of (string * t) list  (** emitted in the given key order *)
 
 and t_float = float
-(** Non-finite floats are emitted as [null] (JSON has no NaN). *)
+(** The emitter's float contract, on which saved artifacts and their
+    digests depend, so the bytes are stable across versions:
+    - a finite float is written with the first of [%.12g], [%.15g]
+      and [%.17g] that reads back as the same float ([%.17g] always
+      does), so every float round-trips exactly;
+    - a result made only of digits and [-] gets [".0"] appended, so
+      it reads back as a [Float]: [2.0] and [-0.0], but [1e+21];
+    - [-0.0] keeps its sign;
+    - non-finite floats are emitted as [null] (JSON has no NaN).
+    [Int]s are written in plain decimal. *)
 
 val float : float -> t
 (** [Float], via a guard that keeps the emitter total. *)
@@ -36,7 +45,8 @@ val to_string : ?pretty:bool -> t -> string
 (** Compact single line by default; [pretty] indents with two spaces. *)
 
 val to_channel : ?pretty:bool -> out_channel -> t -> unit
-(** Appends a trailing newline. *)
+(** The bytes of [to_string], written without an intermediate string,
+    then a trailing newline. *)
 
 val write_file : ?pretty:bool -> path:string -> t -> unit
 
@@ -44,8 +54,10 @@ val write_file : ?pretty:bool -> path:string -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Strict parser for everything the emitter produces (and standard
-    JSON generally); numbers without [.]/[e] that fit an [int] decode
-    as [Int]. *)
+    JSON generally).  Numbers follow the RFC 8259 grammar (no leading
+    zeros, no bare [.], no [+] sign); those without [.]/[e] that fit
+    an [int] decode as [Int].  [\u] escapes take exactly four hex
+    digits, and a surrogate must be a high/low pair. *)
 
 val of_file : string -> (t, string) result
 

@@ -61,33 +61,45 @@ let attrs_json attrs =
 
 let span_json sp =
   let open Engine.Span in
+  let tail = if sp.sp_attrs = [] then [] else [ ("attrs", attrs_json sp.sp_attrs) ] in
+  let tail = if sp.sp_cause < 0 then tail else ("cause", Json.Int sp.sp_cause) :: tail in
+  let tail =
+    match sp.sp_drop with
+    | None -> tail
+    | Some r -> ("drop", Json.String (drop_reason_name r)) :: tail
+  in
   Json.Obj
-    ([ ("id", Json.Int sp.sp_id);
-       ("trace", Json.Int sp.sp_trace);
-       ("parent", Json.Int sp.sp_parent);
-       ("name", Json.String sp.sp_name);
-       ("node", Json.String sp.sp_node);
-       ("start_s", Json.float (Engine.Time.seconds sp.sp_start));
-       ("end_s", Json.float (Engine.Time.seconds sp.sp_end)) ]
-     @ (match sp.sp_drop with
-        | None -> []
-        | Some r -> [ ("drop", Json.String (drop_reason_name r)) ])
-     @ (if sp.sp_cause < 0 then [] else [ ("cause", Json.Int sp.sp_cause) ])
-     @ if sp.sp_attrs = [] then [] else [ ("attrs", attrs_json sp.sp_attrs) ])
+    (("id", Json.Int sp.sp_id)
+     :: ("trace", Json.Int sp.sp_trace)
+     :: ("parent", Json.Int sp.sp_parent)
+     :: ("name", Json.String sp.sp_name)
+     :: ("node", Json.String sp.sp_node)
+     :: ("start_s", Json.float (Engine.Time.seconds sp.sp_start))
+     :: ("end_s", Json.float (Engine.Time.seconds sp.sp_end))
+     :: tail)
 
 let mark_json mk =
   let open Engine.Span in
+  let tail = if mk.mk_attrs = [] then [] else [ ("attrs", attrs_json mk.mk_attrs) ] in
   Json.Obj
-    ([ ("at_s", Json.float (Engine.Time.seconds mk.mk_at));
-       ("name", Json.String mk.mk_name);
-       ("node", Json.String mk.mk_node) ]
-     @ if mk.mk_attrs = [] then [] else [ ("attrs", attrs_json mk.mk_attrs) ])
+    (("at_s", Json.float (Engine.Time.seconds mk.mk_at))
+     :: ("name", Json.String mk.mk_name)
+     :: ("node", Json.String mk.mk_node)
+     :: tail)
+
+(* Built back to front by span id, so no intermediate span list is
+   allocated for a collector that may hold ~10^5 spans. *)
+let spans_json c =
+  let rec from i acc =
+    if i < 0 then acc else from (i - 1) (span_json (Engine.Span.get c i) :: acc)
+  in
+  Json.List (from (Engine.Span.span_count c - 1) [])
 
 let to_json t =
   Json.Obj
     [ ("schema", Json.String schema);
       ("approach", Json.String t.approach);
-      ("spans", Json.List (List.map span_json (Engine.Span.spans t.collector)));
+      ("spans", spans_json t.collector);
       ("marks", Json.List (List.map mark_json (Engine.Span.marks t.collector))) ]
 
 let save t ~path = Json.write_file ~path (to_json t)

@@ -250,6 +250,42 @@ let handover_tests =
         | _ -> Alcotest.fail "no handover records in the document")
   ]
 
+(* The exported bytes themselves, pinned by md5 for every approach:
+   the emitter and the document builders may get faster, but a saved
+   lineage, catapult or handover file must not change by one byte.
+   Per approach: compact lineage, compact catapult, compact and pretty
+   handover breakdown. *)
+let golden_md5s =
+  [ ( "local group membership",
+      [ "0fd6b11f7da5e0b106035555415de1f7"; "5b727b29df9bd03258a1146b58fac97b";
+        "c3ae43a7077736c5a3e04323e4e1287c"; "da5559cde78191292f9d5d043cd4cab3" ] );
+    ( "bi-directional tunnel",
+      [ "d590253d564eb2d5d0a08a8f6905f71e"; "e0648899ac28153a1c424d745219930e";
+        "c0bd64d3745ae7225e9d97b20d8e7265"; "bf1d03f1ed247813f2b543b7d259171f" ] );
+    ( "uni-directional tunnel MH->HA",
+      [ "f7b3210319a68710fd8c79c74b2ad479"; "5b727b29df9bd03258a1146b58fac97b";
+        "727b38fab9c1285059a538f1af3b67a3"; "ee3b69a2728a5eed7a999f9ce5d68e15" ] );
+    ( "uni-directional tunnel HA->MH",
+      [ "28a164a2fdf41d94a334b9f9524cad00"; "e0648899ac28153a1c424d745219930e";
+        "5a5f4209dea17c165de986017aa14175"; "83dfd4089466af6157af82086deb616a" ] ) ]
+
+let golden_tests =
+  [ Alcotest.test_case "exported bytes match the recorded md5s" `Quick (fun () ->
+        let md5 doc = Digest.to_hex (Digest.string doc) in
+        let exported approach =
+          let lin = traced_run approach in
+          ( Approach.name approach,
+            List.map md5
+              [ Obs.Json.to_string (Obs.Lineage.to_json lin);
+                Obs.Json.to_string (Obs.Export.catapult_json lin);
+                Obs.Json.to_string (Obs.Export.handovers_json lin);
+                Obs.Json.to_string ~pretty:true (Obs.Export.handovers_json lin) ] )
+        in
+        Alcotest.(check (list (pair string (list string))))
+          "md5 per approach" golden_md5s
+          (List.map exported Approach.all))
+  ]
+
 let purity_tests =
   [ Alcotest.test_case "collection does not perturb deliveries" `Quick (fun () ->
         let run traced =
@@ -280,5 +316,6 @@ let () =
       ("round trip", roundtrip_tests);
       ("catapult", catapult_tests);
       ("handover", handover_tests);
+      ("golden", golden_tests);
       ("purity", purity_tests)
     ]

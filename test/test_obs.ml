@@ -66,6 +66,36 @@ let json_tests =
         | Ok (Obs.Json.String s) ->
           Alcotest.(check string) "U+1F600 as UTF-8" "\xf0\x9f\x98\x80" s
         | Ok _ | Error _ -> Alcotest.fail "surrogate pair rejected");
+    Alcotest.test_case "parser rejects bad \\u escapes" `Quick (fun () ->
+        List.iter
+          (fun text ->
+            match Obs.Json.of_string text with
+            | Error _ -> ()
+            | Ok v -> Alcotest.failf "%s accepted as %s" text (Obs.Json.to_string v))
+          [ {|"\u0_41"|}; {|"\u+041"|}; {|"\u 041"|}; {|"\u004"|}; {|"\udc00"|};
+            {|"\udfff x"|}; {|"\ud83d"|}; {|"\ud83dA"|}; {|"\ud83d\udc0_"|} ];
+        match Obs.Json.of_string {|"\u00e9\u00E9A"|} with
+        | Ok (Obs.Json.String s) -> Alcotest.(check string) "hex digits" "\xc3\xa9\xc3\xa9A" s
+        | Ok _ | Error _ -> Alcotest.fail "valid \\u escapes rejected");
+    Alcotest.test_case "parser follows the RFC 8259 number grammar" `Quick (fun () ->
+        List.iter
+          (fun text ->
+            match Obs.Json.of_string text with
+            | Error _ -> ()
+            | Ok v -> Alcotest.failf "%s accepted as %s" text (Obs.Json.to_string v))
+          [ "01"; "-01"; "00"; "1."; "-.5"; ".5"; "+1"; "-"; "1e"; "1e+"; "1.e5"; "1.5e";
+            "0x10"; "1_000"; "--1"; "1-2"; "[1.]"; "{\"a\":01}"; "nan"; "Infinity" ];
+        List.iter
+          (fun (text, want) ->
+            match Obs.Json.of_string text with
+            | Ok v -> Alcotest.(check bool) text true (v = want)
+            | Error e -> Alcotest.failf "%s rejected: %s" text e)
+          [ ("0", Obs.Json.Int 0); ("-0", Obs.Json.Int 0); ("10", Obs.Json.Int 10);
+            ("-42", Obs.Json.Int (-42)); ("0.5", Obs.Json.Float 0.5);
+            ("-0.5e-3", Obs.Json.Float (-0.0005)); ("1e5", Obs.Json.Float 1e5);
+            ("1E+2", Obs.Json.Float 100.0); ("2.0", Obs.Json.Float 2.0);
+            ("12345678901234567890", Obs.Json.Float 12345678901234567890.0);
+            ("[1,-2.5]", Obs.Json.List [ Obs.Json.Int 1; Obs.Json.Float (-2.5) ]) ]);
     Alcotest.test_case "member and to_float_opt" `Quick (fun () ->
         let doc = Obs.Json.Obj [ ("a", Obs.Json.Int 3); ("b", Obs.Json.float 1.5) ] in
         Alcotest.(check (option (float 1e-9))) "int member" (Some 3.0)
@@ -74,6 +104,155 @@ let json_tests =
           (Option.bind (Obs.Json.member "b" doc) Obs.Json.to_float_opt);
         Alcotest.(check bool) "missing member" true (Obs.Json.member "c" doc = None))
   ]
+
+(* The emitter's float format as first written (a sprintf ladder with
+   string round trips), kept as the reference the faster emitter must
+   match byte for byte. *)
+let reference_float_repr f =
+  if not (Float.is_finite f) then "null"
+  else
+    let try_prec p =
+      let s = Printf.sprintf "%.*g" p f in
+      if float_of_string s = f then Some s else None
+    in
+    let repr =
+      match try_prec 12 with
+      | Some s -> s
+      | None -> (
+        match try_prec 15 with
+        | Some s -> s
+        | None -> Printf.sprintf "%.17g" f)
+    in
+    if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') repr then repr ^ ".0"
+    else repr
+
+let emit_floats fs = Obs.Json.to_string (Obs.Json.List (List.map (fun f -> Obs.Json.Float f) fs))
+
+let reference_floats fs = "[" ^ String.concat "," (List.map reference_float_repr fs) ^ "]"
+
+let float_edge_cases =
+  [ 0.0; -0.0; 0.0; -0.0;  (* interleaved: the memo must keep the sign *)
+    5e-324; -5e-324; 1e-310; 2.2250738585072009e-308; Float.min_float;
+    Float.max_float; -.Float.max_float; 1e21; -1e21; 1e-7; 1e22; 1e15; 1e16; 1e17;
+    1.0; -3.0; 2.0; 123456789012.0; 9007199254740992.0; 9007199254740993.0;
+    0.1; 1.5; 233.5; 1e-300;  (* 12 digits *)
+    1.23456789012345; 0.123456789012345;  (* 15 digits *)
+    0.30000000000000004; 1.0 /. 3.0; 233.51629599999995;  (* 17 digits *)
+    nan; infinity; neg_infinity ]
+
+let format_tests =
+  [ Alcotest.test_case "float edge cases match the reference ladder" `Quick (fun () ->
+        Alcotest.(check string) "whole list" (reference_floats float_edge_cases)
+          (emit_floats float_edge_cases);
+        List.iter
+          (fun f ->
+            Alcotest.(check string) (Printf.sprintf "%h" f) (reference_float_repr f)
+              (Obs.Json.to_string (Obs.Json.Float f)))
+          float_edge_cases;
+        List.iter
+          (fun (f, want) ->
+            Alcotest.(check string) want want (Obs.Json.to_string (Obs.Json.Float f)))
+          [ (0.0, "0.0"); (-0.0, "-0.0"); (2.0, "2.0"); (1e21, "1e+21"); (1e-7, "1e-07");
+            (0.1, "0.1"); (5e-324, "4.94065645841e-324");
+            (1.23456789012345, "1.23456789012345");
+            (0.30000000000000004, "0.30000000000000004");
+            (Float.max_float, "1.7976931348623157e+308"); (nan, "null") ];
+        Alcotest.(check string) "signed zeros interleaved" "[0.0,-0.0,0.0,-0.0]"
+          (emit_floats [ 0.0; -0.0; 0.0; -0.0 ]));
+    Alcotest.test_case "ints are exact decimal" `Quick (fun () ->
+        List.iter
+          (fun i ->
+            Alcotest.(check string) (string_of_int i) (string_of_int i)
+              (Obs.Json.to_string (Obs.Json.Int i)))
+          [ 0; 1; 9; 10; 99; 100; 1234567890; -1; -9; -10; -42; -1234567890; max_int;
+            max_int - 1; min_int; min_int + 1 ];
+        Alcotest.(check string) "max_int" "4611686018427387903"
+          (Obs.Json.to_string (Obs.Json.Int max_int));
+        Alcotest.(check string) "min_int" "-4611686018427387904"
+          (Obs.Json.to_string (Obs.Json.Int min_int));
+        Alcotest.(check string) "mixed list" "[0,-7,10,null,-0.0]"
+          (Obs.Json.to_string
+             (Obs.Json.List
+                [ Obs.Json.Int 0; Obs.Json.Int (-7); Obs.Json.Int 10; Obs.Json.Null;
+                  Obs.Json.Float (-0.0) ])));
+    Alcotest.test_case "to_channel writes to_string's bytes and a newline" `Quick
+      (fun () ->
+        let doc =
+          Obs.Json.Obj
+            [ ("s", Obs.Json.String nasty_string); ("f", Obs.Json.List [ Obs.Json.float 0.1 ]) ]
+        in
+        List.iter
+          (fun pretty ->
+            let path = Filename.temp_file "json" ".json" in
+            Fun.protect
+              ~finally:(fun () -> Sys.remove path)
+              (fun () ->
+                Obs.Json.write_file ~pretty ~path doc;
+                Alcotest.(check string)
+                  (Printf.sprintf "pretty=%b" pretty)
+                  (Obs.Json.to_string ~pretty doc ^ "\n")
+                  (In_channel.with_open_bin path In_channel.input_all)))
+          [ false; true ]);
+    Alcotest.test_case "control characters escape as \\u00XX" `Quick (fun () ->
+        Alcotest.(check string) "escapes" {|"a\u0000\u0008\u000c\u001f\"\\\n\r\t/é"|}
+          (Obs.Json.to_string (Obs.Json.String "a\000\b\012\031\"\\\n\r\t/\xc3\xa9")))
+  ]
+
+let random_float_bits =
+  QCheck.Test.make ~name:"floats from random bit patterns match the reference" ~count:2000
+    QCheck.(pair int64 int64)
+    (fun (a, b) ->
+      let f = Int64.float_of_bits a and g = Int64.float_of_bits b in
+      (* Each value twice, and its negation, within one document so the
+         memo's hits are compared as well as its misses. *)
+      let fs = [ f; g; f; -.f; g; -.g; f ] in
+      Obs.Json.to_string (Obs.Json.Float f) = reference_float_repr f
+      && emit_floats fs = reference_floats fs)
+
+let json_gen =
+  let open QCheck.Gen in
+  let finite_float =
+    oneof
+      [ float;
+        map Int64.float_of_bits ui64;
+        oneofl [ 0.0; -0.0; 1.0; -2.5; 1e21; 5e-324; Float.max_float ] ]
+    >|= fun f -> if Float.is_finite f then f else 0.5
+  in
+  let str = string_size ~gen:char (int_bound 6) in
+  let leaf =
+    oneof
+      [ return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun i -> Obs.Json.Int i) (oneof [ int; small_signed_int; oneofl [ max_int; min_int ] ]);
+        map (fun f -> Obs.Json.Float f) finite_float;
+        map (fun s -> Obs.Json.String s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Obs.Json.List l) (list_size (int_bound 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun l -> Obs.Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n / 3))))) ])
+
+let emitted_documents_parse =
+  QCheck.Test.make ~name:"every emitted document parses back to itself" ~count:500
+    (QCheck.make ~print:Obs.Json.to_string json_gen)
+    (fun doc ->
+      List.for_all
+        (fun pretty ->
+          let text = Obs.Json.to_string ~pretty doc in
+          match Obs.Json.of_string text with
+          | Ok parsed -> parsed = doc && Obs.Json.to_string ~pretty parsed = text
+          | Error _ -> false)
+        [ false; true ])
+
+let format_properties =
+  List.map QCheck_alcotest.to_alcotest [ random_float_bits; emitted_documents_parse ]
 
 (* ---- Obs.Pcapng ---- *)
 
@@ -636,6 +815,7 @@ let telemetry_tests =
 let () =
   Alcotest.run "obs"
     [ ("json", json_tests);
+      ("json emit", format_tests @ format_properties);
       ("pcapng", pcapng_tests);
       ("capture", capture_tests);
       ("registry", registry_tests);
