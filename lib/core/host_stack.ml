@@ -28,6 +28,105 @@ type detected_location =
   | Home
   | Foreign of Addr.t  (* care-of address *)
 
+(* The application's duplicate filter: which (stream, seq) pairs were
+   already delivered.  Streamed seqs are dense and start near 0, so
+   each stream keeps a bitset over [0, 8 * Bytes.length bits), grown by
+   doubling as seqs advance.  A corrupted frame (wire check with
+   corruption on) can decode to any seq, so growth is budgeted by what
+   the stream actually delivered: the bitset never exceeds one byte per
+   distinct seq plus [slack] bytes, and a seq it cannot cover — negative,
+   or too far ahead — goes to an exact per-stream fallback table.  When
+   the bitset grows, fallback seqs it now covers move into it, so every
+   recorded seq lives in exactly one place. *)
+module Seen = struct
+  type stream = {
+    mutable bits : Bytes.t;
+    mutable distinct : int;  (* seqs recorded, in [bits] and [extra] *)
+    mutable extra : (int, unit) Hashtbl.t option;  (* seqs outside [bits] *)
+  }
+
+  type t = (int, stream) Hashtbl.t
+
+  let slack = 1024
+
+  let create () : t = Hashtbl.create 4
+
+  let stream t id =
+    match Hashtbl.find t id with
+    | s -> s
+    | exception Not_found ->
+      let s = { bits = Bytes.empty; distinct = 0; extra = None } in
+      Hashtbl.replace t id s;
+      s
+
+  (* Test-and-set of a covered seq. *)
+  let set_bit s seq =
+    let i = seq lsr 3 and m = 1 lsl (seq land 7) in
+    let b = Char.code (Bytes.unsafe_get s.bits i) in
+    if b land m <> 0 then false
+    else begin
+      Bytes.unsafe_set s.bits i (Char.unsafe_chr (b lor m));
+      true
+    end
+
+  let grow s seq =
+    let len = Bytes.length s.bits in
+    let want = max (2 * len) ((seq lsr 3) + 1) in
+    let bits = Bytes.make (min want (s.distinct + slack)) '\000' in
+    Bytes.blit s.bits 0 bits 0 len;
+    s.bits <- bits;
+    match s.extra with
+    | None -> ()
+    | Some extra ->
+      let cover = 8 * Bytes.length bits in
+      Hashtbl.filter_map_inplace
+        (fun k () ->
+          if k >= 0 && k < cover then begin
+            ignore (set_bit s k);
+            None
+          end
+          else Some ())
+        extra
+
+  let add_extra s seq =
+    let extra =
+      match s.extra with
+      | Some e -> e
+      | None ->
+        let e = Hashtbl.create 8 in
+        s.extra <- Some e;
+        e
+    in
+    if Hashtbl.mem extra seq then false
+    else begin
+      Hashtbl.replace extra seq ();
+      true
+    end
+
+  let first_sighting t ~stream:id ~seq =
+    let s = stream t id in
+    let fresh =
+      if seq >= 0 && seq < 8 * Bytes.length s.bits then set_bit s seq
+      else if seq >= 0 && seq lsr 3 < s.distinct + slack then begin
+        grow s seq;
+        set_bit s seq
+      end
+      else add_extra s seq
+    in
+    if fresh then s.distinct <- s.distinct + 1;
+    fresh
+
+  let bitset_bytes t = Hashtbl.fold (fun _ s acc -> acc + Bytes.length s.bits) t 0
+
+  let fallback_size t =
+    Hashtbl.fold
+      (fun _ s acc ->
+        match s.extra with
+        | Some e -> acc + Hashtbl.length e
+        | None -> acc)
+      t 0
+end
+
 type rx_stats = {
   mutable count : int;
   mutable dups : int;
@@ -54,7 +153,7 @@ type t = {
   mutable on_data : (group:Addr.t -> Packet.t -> unit) option;
   mutable data_observers : (group:Addr.t -> Packet.t -> unit) list;
   rx : (Addr.t, rx_stats) Hashtbl.t;
-  seen : (int * int, unit) Hashtbl.t;
+  seen : Seen.t;
   mutable attached_at : Engine.Time.t;
   mutable seq : int;
   mutable sent : int;
@@ -240,9 +339,9 @@ let handle_nd t ~link (msg : Ipv6.Nd_message.t) =
 (* ---- application receive ---- *)
 
 let rx_stats t group =
-  match Hashtbl.find_opt t.rx group with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.rx group with
+  | s -> s
+  | exception Not_found ->
     let s = { count = 0; dups = 0; first_after_attach = None } in
     Hashtbl.replace t.rx group s;
     s
@@ -251,9 +350,8 @@ let deliver_app t ~group packet =
   match packet.Packet.payload with
   | Packet.Data { stream_id; seq; _ } ->
     let s = rx_stats t group in
-    if Hashtbl.mem t.seen (stream_id, seq) then s.dups <- s.dups + 1
+    if not (Seen.first_sighting t.seen ~stream:stream_id ~seq) then s.dups <- s.dups + 1
     else begin
-      Hashtbl.replace t.seen (stream_id, seq) ();
       s.count <- s.count + 1;
       let first = s.first_after_attach = None in
       if first then s.first_after_attach <- Some (Engine.Sim.now (sim t));
@@ -564,7 +662,7 @@ let create ?home_agent net node ~home_link cfg =
     on_data = None;
     data_observers = [];
     rx = Hashtbl.create 4;
-    seen = Hashtbl.create 64;
+    seen = Seen.create ();
     attached_at = Engine.Time.zero;
     seq = 0;
     sent = 0;

@@ -105,6 +105,27 @@ val duplicate_count : t -> group:Addr.t -> int
 (** Datagrams that arrived more than once (e.g. both locally and
     through a tunnel). *)
 
+(** The exact duplicate filter behind {!duplicate_count}: remembers
+    every (stream, seq) pair delivered to the application.  A per-stream
+    seq bitset, budgeted to one byte per distinct seq plus 1 KiB, with an
+    exact fallback table for seqs the bitset cannot cover (negative, or
+    far ahead of what the stream delivered — a corrupted frame can carry
+    any seq). *)
+module Seen : sig
+  type t
+
+  val create : unit -> t
+
+  val first_sighting : t -> stream:int -> seq:int -> bool
+  (** Record the pair; [true] iff it was not recorded before. *)
+
+  val bitset_bytes : t -> int
+  (** Bytes held by the bitsets of all streams. *)
+
+  val fallback_size : t -> int
+  (** Pairs held in the fallback tables of all streams. *)
+end
+
 val last_attach_time : t -> Engine.Time.t
 val first_rx_after_attach : t -> group:Addr.t -> Engine.Time.t option
 (** Time of the first datagram for the group since the last

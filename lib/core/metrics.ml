@@ -15,6 +15,19 @@ let all_classes =
   [ Data_native; Data_tunnelled; Tunnel_overhead; Mld_signalling; Pim_signalling;
     Mipv6_signalling; Nd_signalling ]
 
+let n_classes = 7
+
+let class_index = function
+  | Data_native -> 0
+  | Data_tunnelled -> 1
+  | Tunnel_overhead -> 2
+  | Mld_signalling -> 3
+  | Pim_signalling -> 4
+  | Mipv6_signalling -> 5
+  | Nd_signalling -> 6
+
+let class_of_index = Array.of_list all_classes
+
 let class_name = function
   | Data_native -> "data"
   | Data_tunnelled -> "data(tunnel)"
@@ -60,20 +73,41 @@ type mutable_counts = {
   mutable m_heartbeats : int;
 }
 
+module Itbl = Hashtbl.Make (Int)
+
+(* Every transmission is classified, so the tables are keyed by plain
+   ints — no key tuple per packet.  A cell's key is
+   [link * n_classes + class_index]; a last-data key is
+   [(group_index lsl 32) lor link], with groups numbered on first
+   sight. *)
 type t = {
   sim : Engine.Sim.t;
-  cells : (Link_id.t * cls, cell) Hashtbl.t;
-  last_data : (Link_id.t * Addr.t, Engine.Time.t) Hashtbl.t;
+  cells : cell Itbl.t;
+  groups : (Addr.t, int) Hashtbl.t;
+  last_data : Engine.Time.t Itbl.t;
   counts : mutable_counts;
 }
 
+let cell_key link cls = (Link_id.to_int link * n_classes) + class_index cls
+
 let cell t link cls =
-  match Hashtbl.find_opt t.cells (link, cls) with
-  | Some c -> c
-  | None ->
+  let key = cell_key link cls in
+  match Itbl.find t.cells key with
+  | c -> c
+  | exception Not_found ->
     let c = { bytes = 0; packets = 0 } in
-    Hashtbl.replace t.cells (link, cls) c;
+    Itbl.replace t.cells key c;
     c
+
+let group_index t group =
+  match Hashtbl.find t.groups group with
+  | i -> i
+  | exception Not_found ->
+    let i = Hashtbl.length t.groups in
+    Hashtbl.replace t.groups group i;
+    i
+
+let data_key gi link = (gi lsl 32) lor Link_id.to_int link
 
 let account t link cls ~bytes =
   let c = cell t link cls in
@@ -87,15 +121,18 @@ let rec innermost (p : Packet.t) =
   | Packet.Encapsulated inner -> innermost inner
   | Packet.Data _ | Packet.Mld _ | Packet.Pim _ | Packet.Nd _ | Packet.Empty -> p
 
+let rec census_options c = function
+  | [] -> ()
+  | (opt : Packet.dest_option) :: rest ->
+    (match opt with
+     | Packet.Binding_update _ -> c.m_bus <- c.m_bus + 1
+     | Packet.Binding_acknowledgement _ -> c.m_backs <- c.m_backs + 1
+     | Packet.Binding_request | Packet.Home_address _ -> ());
+    census_options c rest
+
 let census t (p : Packet.t) =
   let c = t.counts in
-  List.iter
-    (fun opt ->
-      match (opt : Packet.dest_option) with
-      | Packet.Binding_update _ -> c.m_bus <- c.m_bus + 1
-      | Packet.Binding_acknowledgement _ -> c.m_backs <- c.m_backs + 1
-      | Packet.Binding_request | Packet.Home_address _ -> ())
-    p.Packet.dest_options;
+  census_options c p.Packet.dest_options;
   match (innermost p).Packet.payload with
   | Packet.Pim (Pim_message.Hello _) -> c.m_hellos <- c.m_hellos + 1
   | Packet.Pim (Pim_message.Join_prune { joins; prunes; _ }) ->
@@ -124,7 +161,9 @@ let classify t link (p : Packet.t) =
     let cls = if depth > 0 then Data_tunnelled else Data_native in
     account t link cls ~bytes:inner_size;
     if Packet.is_multicast_dst inner then
-      Hashtbl.replace t.last_data (link, inner.Packet.dst) (Engine.Sim.now t.sim)
+      Itbl.replace t.last_data
+        (data_key (group_index t inner.Packet.dst) link)
+        (Engine.Sim.now t.sim)
   | Packet.Mld _ -> account t link Mld_signalling ~bytes:inner_size
   | Packet.Pim _ -> account t link Pim_signalling ~bytes:inner_size
   | Packet.Nd _ -> account t link Nd_signalling ~bytes:inner_size
@@ -136,8 +175,9 @@ let classify t link (p : Packet.t) =
 let attach net =
   let t =
     { sim = Network.sim net;
-      cells = Hashtbl.create 32;
-      last_data = Hashtbl.create 16;
+      cells = Itbl.create 32;
+      groups = Hashtbl.create 4;
+      last_data = Itbl.create 16;
       counts =
         { m_hellos = 0;
           m_joins = 0;
@@ -175,11 +215,11 @@ let control_counts t =
     heartbeats = c.m_heartbeats }
 
 let fold t ?link f init =
-  Hashtbl.fold
-    (fun (l, cls) c acc ->
+  Itbl.fold
+    (fun key c acc ->
       match link with
-      | Some wanted when not (Link_id.equal l wanted) -> acc
-      | Some _ | None -> f acc cls c)
+      | Some wanted when key / n_classes <> Link_id.to_int wanted -> acc
+      | Some _ | None -> f acc class_of_index.(key mod n_classes) c)
     t.cells init
 
 let bytes ?link t wanted =
@@ -194,11 +234,15 @@ let signalling_bytes t =
 
 let data_bytes_on t link = bytes ~link t Data_native + bytes ~link t Data_tunnelled
 
-let last_data_tx t link ~group = Hashtbl.find_opt t.last_data (link, group)
+let last_data_tx t link ~group =
+  match Hashtbl.find_opt t.groups group with
+  | None -> None
+  | Some gi -> Itbl.find_opt t.last_data (data_key gi link)
 
 let reset t =
-  Hashtbl.reset t.cells;
-  Hashtbl.reset t.last_data;
+  Itbl.reset t.cells;
+  Hashtbl.reset t.groups;
+  Itbl.reset t.last_data;
   let c = t.counts in
   c.m_hellos <- 0;
   c.m_joins <- 0;

@@ -99,6 +99,15 @@ let cache t =
 
 let mld_on t link = List.assoc_opt link t.mld_routers
 
+(* [mld_on] then [has_listeners], without the option: PIM asks this
+   for every outgoing interface of every forwarded datagram. *)
+let rec listeners_on routers link group =
+  match routers with
+  | [] -> false
+  | (l, mld) :: rest ->
+    if Link_id.equal l link then Mld.Mld_router.has_listeners mld group
+    else listeners_on rest link group
+
 let address_on t link = Topology.address_on (topo t) t.node link
 
 let link_local t = Topology.link_local (topo t) t.node
@@ -624,12 +633,10 @@ let handle_multicast t ~link packet =
   | Packet.Data _ | Packet.Encapsulated _ | Packet.Empty -> (
     (* Only globally scoped groups are routed; link-scope traffic stays
        on its link. *)
-    match Addr.multicast_scope packet.Packet.dst with
-    | Some scope when scope > 2 -> (
+    if Addr.multicast_beyond_link packet.Packet.dst then
       match t.pim with
       | Some p -> Pimdm.Pim_router.handle_data p ~iface:(Link_id.to_int link) packet
       | None -> ())
-    | Some _ | None -> ())
 
 let on_receive t ~link ~from:_ packet =
   if t.running then begin
@@ -719,10 +726,7 @@ let make_pim_env t =
               match tunnel.tunnel_mld with
               | Some mld -> Mld.Mld_router.has_listeners mld group
               | None -> false))
-        else
-          match mld_on t (link_of_iface iface) with
-          | Some mld -> Mld.Mld_router.has_listeners mld group
-          | None -> false);
+        else listeners_on t.mld_routers (link_of_iface iface) group);
     flood_eligible = (fun iface -> iface < viface_base) }
 
 let make_mld_router t link =

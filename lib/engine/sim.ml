@@ -100,6 +100,8 @@ let schedule_after ?category t delay f =
 
 let cancel t handle = Wheel.cancel t.queue handle
 
+let postpone t handle time = Wheel.postpone t.queue handle time
+
 let pending t = Wheel.size t.queue
 
 let fire t time f =
@@ -110,12 +112,14 @@ let fire t time f =
 
 let step t =
   match t.decider with
-  | None -> (
+  | None ->
     (* Default path: untouched, so golden traces are unaffected by the
-       existence of the choice hook. *)
-    match Wheel.pop t.queue with
-    | None -> false
-    | Some (time, f) -> fire t time f)
+       existence of the choice hook — and allocation-free: the wheel's
+       optionless peek and pop box nothing per event. *)
+    if Wheel.is_empty t.queue then false
+    else
+      let time = Wheel.next_time t.queue in
+      fire t time (Wheel.pop_payload t.queue)
   | Some _ -> (
     (* Explored path: same-timestamp ties are a choice point.  The
        decider is consulted only when the tie is real (arity > 1), so
@@ -135,16 +139,13 @@ let run ?until ?max_events t =
     | Some n -> t.executed >= n
   in
   let rec loop () =
-    if budget_exhausted () then ()
+    if budget_exhausted () || Wheel.is_empty t.queue then ()
     else
-      match Wheel.peek_time t.queue with
-      | None -> ()
-      | Some next -> (
-        match until with
-        | Some limit when Time.compare next limit > 0 -> t.clock <- limit
-        | Some _ | None ->
-          ignore (step t);
-          loop ())
+      match until with
+      | Some limit when Time.compare (Wheel.next_time t.queue) limit > 0 -> t.clock <- limit
+      | Some _ | None ->
+        ignore (step t);
+        loop ()
   in
   loop ();
   (* An [until] bound advances the clock even when the queue drains early. *)

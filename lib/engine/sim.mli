@@ -30,6 +30,16 @@ val schedule_after : ?category:string -> t -> Time.t -> (unit -> unit) -> handle
 
 val cancel : t -> handle -> unit
 
+val postpone : t -> handle -> Time.t -> unit
+(** [postpone sim h time] moves the pending callback [h] to the later
+    (or equal) absolute time [time] in place, keeping [h] valid.  The
+    firing order is exactly that of [cancel sim h] followed by
+    [schedule_at sim time f] for the same callback (the category given
+    at scheduling is kept), without allocating and without leaving a
+    cancelled entry in the queue.  See {!Wheel.postpone}.
+    @raise Invalid_argument if [h] already fired or was cancelled, or
+    if [time] precedes its current deadline. *)
+
 val pending : t -> int
 (** Number of live scheduled callbacks. *)
 

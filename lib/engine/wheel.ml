@@ -1,12 +1,14 @@
 (* Hierarchical timer wheel with the binary heap's exact semantics.
 
    The protocol stack restarts timers constantly — PIM prune and state
-   refresh, MLD queries, binding lifetimes — and under the heap every
-   restart is a cancel plus an O(log n) push whose entry later bubbles
-   through pops.  Here a push is an O(1) append into the slot covering
-   its quantized deadline (plus an amortized sift within that slot),
-   a cancel is one store, and cancelled entries die in bulk when their
-   slot is scanned or cascaded instead of sifting through a big heap.
+   refresh, MLD queries, binding lifetimes, and the (S,G) data timeout
+   on every streamed datagram.  Under the heap every restart is a
+   cancel plus an O(log n) push whose entry later bubbles through pops.
+   Here a push is an O(1) append into the slot covering its quantized
+   deadline (plus an amortized sift within that slot), a cancel is one
+   store, and a restart to a later deadline ([postpone]) is three
+   stores: the entry keeps its slot and is re-placed lazily, only if
+   the scan ever reaches it.
 
    Correctness bar: pops must replay the heap's order {e exactly} —
    strictly increasing (time, global push seq) — because golden trace
@@ -25,24 +27,42 @@
      (time, seq) with the {e global} seq counter breaking ties across
      the two structures.
 
+   Postponement.  An entry sits under its {e placement} key
+   (time, q, seq) and fires under its {e real} key (due, due_seq).
+   They differ only after [postpone], which moves the real key later
+   and leaves the entry where it is, so placement key <= real key
+   always.  Slot heaps order on placement keys.  Whenever [prune] (of a
+   wheel slot or the overflow heap) or [cascade] meets a postponed
+   entry it re-keys the entry to its real key and re-places it — always at the same or a
+   later position in scan order — so a postponed entry is re-placed
+   before it can be chosen, and the first live, un-postponed root the
+   scan finds is the true minimum: every other entry's real key is at
+   least its placement key, which is at least that root's.
+
    Windows advance only when a pop crosses them.  Any slot the advance
-   skips can hold only cancelled entries — a live one would have been
-   an earlier minimum than the entry being popped — which is also why a
-   slot index aliased from an older window can never hide a live entry:
-   such leftovers are provably cancelled and are dropped on the next
-   prune or cascade of that slot. *)
+   skips can hold only cancelled or postponed entries — a live,
+   un-postponed one would have been an earlier minimum than the entry
+   being popped — and the scan that found that entry already re-placed
+   the postponed ones.  That is also why a slot index aliased from an
+   older window can never hide a live entry: such leftovers are
+   provably cancelled and are dropped on the next prune or cascade of
+   that slot. *)
 
 type status = Live | Cancelled | Fired
 
-type handle = { mutable status : status }
-
 type 'a entry = {
-  time : Time.t;
-  q : int;  (* quantized deadline: [time * 1024] truncated *)
-  seq : int;  (* global push order; the tie-break everywhere *)
+  mutable time : Time.t;  (* placement key: the slot heaps order on it *)
+  mutable q : int;  (* quantized placement time: [time * 1024] truncated *)
+  mutable seq : int;  (* global push order; the tie-break everywhere *)
+  mutable due : Time.t;  (* real key: when the entry fires ... *)
+  mutable due_seq : int;  (* ... and its order among equal [due]s *)
+  mutable status : status;
   payload : 'a;
-  cell : handle;
 }
+
+(* A handle is the entry itself with its payload type forgotten: one
+   record per event, shared by the caller and the slot storage. *)
+type handle = H : 'a entry -> handle [@@unboxed]
 
 (* A slot: small binary min-heap on (time, seq).  [arr] is [||] while
    empty so a drained slot retains no payloads. *)
@@ -59,6 +79,7 @@ type 'a t = {
   l1 : 'a slot array;
   l2 : 'a slot array;
   overflow : 'a slot;  (* deadlines beyond the L2 window *)
+  empty : 'a slot;  (* never filled: a scan's "nothing found" *)
   mutable b0 : int;  (* current window index per level: b0 = floor-quantum lsr bits0 *)
   mutable b1 : int;
   mutable b2 : int;
@@ -76,21 +97,29 @@ type 'a t = {
   mutable hint2 : int;
   mutable seq : int;
   mutable live : int;
-  (* Memoized front of the queue: the live entry the next pop will
-     return, and which level holds it (3 = overflow).  Set by a scan or
-     by a push that beats the cached entry; cleared by pop.  Cancelling
-     the cached entry leaves it stale — validity is its Live status. *)
-  mutable front : 'a entry option;
+  (* Memoized front of the queue.  While [front_ok], the root of
+     [front_slot] (at level [front_level], 3 = overflow) has the least
+     placement key of every entry physically present: a scan sets it,
+     a push that beats it moves it, and anything that removes or moves
+     entries clears [front_ok].  Cancelling or postponing that root
+     leaves it in place — the cache is usable only while the root is
+     also live and un-postponed ([front_valid]).  No allocation: the
+     front is named by its slot, not boxed in an option. *)
+  mutable front_ok : bool;
+  mutable front_slot : 'a slot;
   mutable front_level : int;
+  mutable scan_level : int;  (* level of the slot [wheel_min] returned *)
 }
 
 let fresh_slot () = { arr = [||]; len = 0 }
 
 let create () =
+  let overflow = fresh_slot () in
   { l0 = Array.init (1 lsl bits0) (fun _ -> fresh_slot ());
     l1 = Array.init (1 lsl bits1) (fun _ -> fresh_slot ());
     l2 = Array.init (1 lsl bits2) (fun _ -> fresh_slot ());
-    overflow = fresh_slot ();
+    overflow;
+    empty = fresh_slot ();
     b0 = 0;
     b1 = 0;
     b2 = 0;
@@ -102,8 +131,10 @@ let create () =
     hint2 = 0;
     seq = 0;
     live = 0;
-    front = None;
-    front_level = 0 }
+    front_ok = false;
+    front_slot = overflow;
+    front_level = 3;
+    scan_level = 0 }
 
 let quantum time =
   let f = Time.seconds time *. 1024.0 in
@@ -115,6 +146,15 @@ let entry_before a b =
   match Time.compare a.time b.time with
   | 0 -> a.seq < b.seq
   | c -> c < 0
+
+(* Sequence numbers are unique, so an entry is postponed exactly when
+   its real seq differs from its placement seq. *)
+let postponed e = e.due_seq <> e.seq
+
+let rekey e =
+  e.time <- e.due;
+  e.q <- quantum e.due;
+  e.seq <- e.due_seq
 
 (* ---- slot heaps ---- *)
 
@@ -220,41 +260,61 @@ let place t e =
     3
   end
 
+(* The slot [place] put quantum [q] in, given the level it returned. *)
+let slot_at t level q =
+  match level with
+  | 0 -> t.l0.(q land ((1 lsl bits0) - 1))
+  | 1 -> t.l1.((q lsr bits0) land ((1 lsl bits1) - 1))
+  | 2 -> t.l2.((q lsr (bits0 + bits1)) land ((1 lsl bits2) - 1))
+  | _ -> t.overflow
+
 let push t time payload =
   let q = quantum time in
   if q < t.b0 lsl bits0 then
     invalid_arg "Wheel.push: time precedes the last popped event";
-  let cell = { status = Live } in
-  let e = { time; q; seq = t.seq; payload; cell } in
-  t.seq <- t.seq + 1;
+  let seq = t.seq in
+  let e = { time; q; seq; due = time; due_seq = seq; status = Live; payload } in
+  t.seq <- seq + 1;
   t.live <- t.live + 1;
+  (* Keep the front cache exact when the new entry beats it: compared
+     on placement keys, whatever the cached root's status, so the
+     cache keeps naming the physical minimum.  With no cache, claiming
+     [e] is the minimum without a scan would be wrong. *)
+  let beats = t.front_ok && entry_before e t.front_slot.arr.(0) in
   let level = place t e in
-  (* Keep the front cache exact when the new entry beats it.  A [None]
-     or stale cache stays as-is: claiming [e] is the minimum without a
-     scan would be wrong. *)
-  (match t.front with
-   | Some f when f.cell.status = Live ->
-     if entry_before e f then begin
-       t.front <- Some e;
-       t.front_level <- level
-     end
-   | Some _ | None -> ());
-  cell
+  if beats then begin
+    t.front_slot <- slot_at t level q;
+    t.front_level <- level
+  end;
+  H e
 
-let cancel t handle =
-  if handle.status = Live then begin
-    handle.status <- Cancelled;
+let cancel t (H e) =
+  if e.status = Live then begin
+    e.status <- Cancelled;
     t.live <- t.live - 1
   end
 
-let is_cancelled _t handle = handle.status = Cancelled
+let is_cancelled _t (H e) = e.status = Cancelled
+
+(* Exactly the order cancel-then-push gives: the fresh seq is the one
+   [push] would have drawn.  The entry stays where it is; its real key
+   only grows, so every structure ordered on placement keys stays a
+   valid lower bound and the front cache, if it named this entry,
+   turns stale by [front_valid]'s postponed check. *)
+let postpone t (H e) time =
+  if e.status <> Live then invalid_arg "Wheel.postpone: event is not live";
+  if Time.compare time e.due < 0 then
+    invalid_arg "Wheel.postpone: deadline precedes the current one";
+  e.due <- time;
+  e.due_seq <- t.seq;
+  t.seq <- t.seq + 1
 
 (* ---- cascading ---- *)
 
 (* Move every entry of an L1/L2 slot one level down (after the windows
-   advanced), dropping cancelled entries — including aliased leftovers
-   from older windows, which the header argument shows are always
-   cancelled. *)
+   advanced), re-keying postponed entries and dropping cancelled ones —
+   including aliased leftovers from older windows, which the header
+   argument shows are always cancelled. *)
 let cascade t s ~level =
   let n = s.len in
   if n > 0 then begin
@@ -266,7 +326,10 @@ let cascade t s ~level =
     s.len <- 0;
     for i = 0 to n - 1 do
       let e = arr.(i) in
-      if e.cell.status = Live then ignore (place t e)
+      if e.status = Live then begin
+        if postponed e then rekey e;
+        ignore (place t e)
+      end
     done
   end
 
@@ -294,32 +357,44 @@ let advance_to t q =
 
 (* ---- the front of the queue ---- *)
 
+let uncount t level =
+  match level with
+  | 0 -> t.c0 <- t.c0 - 1
+  | 1 -> t.c1 <- t.c1 - 1
+  | 2 -> t.c2 <- t.c2 - 1
+  | _ -> ()
+
+(* Drop cancelled roots and re-place postponed ones until the root is
+   live and current (or the slot is empty).  A re-placed entry lands at
+   the same or a later position in scan order — possibly this very
+   slot, where its now-larger key sinks below the new root. *)
 let prune t s ~level =
-  while
-    s.len > 0
-    &&
-    match s.arr.(0).cell.status with
-    | Cancelled -> true
-    | Live | Fired -> false
-  do
-    ignore (slot_pop s);
-    match level with
-    | 0 -> t.c0 <- t.c0 - 1
-    | 1 -> t.c1 <- t.c1 - 1
-    | _ -> t.c2 <- t.c2 - 1
+  let continue = ref true in
+  while !continue && s.len > 0 do
+    let e = s.arr.(0) in
+    match e.status with
+    | Cancelled ->
+      ignore (slot_pop s);
+      uncount t level
+    | Live when postponed e ->
+      ignore (slot_pop s);
+      uncount t level;
+      rekey e;
+      ignore (place t e)
+    | Live | Fired -> continue := false
   done
 
 let rec scan_l0 t q w_end =
   if q >= w_end then begin
     t.hint0 <- w_end;
-    None
+    t.empty
   end
   else begin
     let s = t.l0.(q land ((1 lsl bits0) - 1)) in
     prune t s ~level:0;
     if s.len > 0 then begin
       t.hint0 <- q;
-      Some s.arr.(0)
+      s
     end
     else scan_l0 t (q + 1) w_end
   end
@@ -327,14 +402,14 @@ let rec scan_l0 t q w_end =
 let rec scan_l1 t s1 s_end =
   if s1 >= s_end then begin
     t.hint1 <- s_end;
-    None
+    t.empty
   end
   else begin
     let s = t.l1.(s1 land ((1 lsl bits1) - 1)) in
     prune t s ~level:1;
     if s.len > 0 then begin
       t.hint1 <- s1;
-      Some s.arr.(0)
+      s
     end
     else scan_l1 t (s1 + 1) s_end
   end
@@ -342,118 +417,132 @@ let rec scan_l1 t s1 s_end =
 let rec scan_l2 t s2 s_end =
   if s2 >= s_end then begin
     t.hint2 <- s_end;
-    None
+    t.empty
   end
   else begin
     let s = t.l2.(s2 land ((1 lsl bits2) - 1)) in
     prune t s ~level:2;
     if s.len > 0 then begin
       t.hint2 <- s2;
-      Some s.arr.(0)
+      s
     end
     else scan_l2 t (s2 + 1) s_end
   end
 
-(* Earliest live wheel entry and its level.  Levels cover disjoint,
-   increasing quantum ranges, so the first level with a live entry
-   holds the wheel minimum. *)
+(* The slot whose root is the earliest live wheel entry, its level in
+   [scan_level]; [t.empty] when the wheel holds none.  Levels cover
+   disjoint, increasing quantum ranges, so the first level with a live
+   entry holds the wheel minimum.  Each level's count is read only
+   after the levels before it were scanned: re-placements there can
+   only add entries further on. *)
 let wheel_min t =
-  let from_l0 =
-    if t.c0 = 0 then None
+  let s =
+    if t.c0 = 0 then t.empty
     else scan_l0 t (max t.hint0 (t.b0 lsl bits0)) ((t.b0 + 1) lsl bits0)
   in
-  match from_l0 with
-  | Some e -> Some (e, 0)
-  | None -> (
-    let from_l1 =
-      if t.c1 = 0 then None
+  if s.len > 0 then begin
+    t.scan_level <- 0;
+    s
+  end
+  else
+    let s =
+      if t.c1 = 0 then t.empty
       else scan_l1 t (max t.hint1 (t.b0 + 1)) ((t.b1 + 1) lsl bits1)
     in
-    match from_l1 with
-    | Some e -> Some (e, 1)
-    | None -> (
-      let from_l2 =
-        if t.c2 = 0 then None
+    if s.len > 0 then begin
+      t.scan_level <- 1;
+      s
+    end
+    else
+      let s =
+        if t.c2 = 0 then t.empty
         else scan_l2 t (max t.hint2 (t.b1 + 1)) ((t.b2 + 1) lsl bits2)
       in
-      match from_l2 with
-      | Some e -> Some (e, 2)
-      | None -> None))
+      t.scan_level <- 2;
+      s
 
-let prune_overflow t =
-  let s = t.overflow in
-  while
-    s.len > 0
-    &&
-    match s.arr.(0).cell.status with
-    | Cancelled -> true
-    | Live | Fired -> false
-  do
-    ignore (slot_pop s)
-  done
+let front_valid t =
+  t.front_ok
+  &&
+  let e = t.front_slot.arr.(0) in
+  e.status = Live && not (postponed e)
 
-(* Make [t.front] the global minimum: the earlier of the wheel scan
-   and the overflow root, compared on (time, seq) — the overflow can
-   hold quanta that meanwhile fell inside the windows.  A valid cache
-   (set by the previous scan or by a push that beat it, and still Live)
-   is reused as-is, which makes the peek-then-pop cycle cost one scan
-   and no allocation beyond the cached option. *)
+(* Make the cached front the global minimum: the earlier of the wheel
+   scan and the overflow root, compared on (time, seq) — the overflow
+   can hold quanta that meanwhile fell inside the windows.  The
+   overflow is pruned first: re-keying a postponed overflow root may
+   move it into the wheel, where the scan must see it.  (The scan in
+   turn can only push entries beyond every window into the overflow,
+   later than any wheel entry it finds.)  A valid cache is reused
+   as-is, which makes the peek-then-pop cycle cost one scan. *)
 let refresh_front t =
-  match t.front with
-  | Some e when e.cell.status = Live -> ()
-  | Some _ | None -> (
-    let w = wheel_min t in
-    prune_overflow t;
-    let o = if t.overflow.len > 0 then Some t.overflow.arr.(0) else None in
-    match (w, o) with
-    | None, None -> t.front <- None
-    | Some (e, level), None ->
-      t.front <- Some e;
-      t.front_level <- level
-    | None, Some e ->
-      t.front <- Some e;
+  if not (front_valid t) then begin
+    prune t t.overflow ~level:3;
+    let s = wheel_min t in
+    let o = t.overflow in
+    if s.len = 0 then begin
+      t.front_ok <- o.len > 0;
+      t.front_slot <- o;
       t.front_level <- 3
-    | Some (we, level), Some oe ->
-      if entry_before oe we then begin
-        t.front <- Some oe;
+    end
+    else begin
+      t.front_ok <- true;
+      if o.len > 0 && entry_before o.arr.(0) s.arr.(0) then begin
+        t.front_slot <- o;
         t.front_level <- 3
       end
       else begin
-        t.front <- Some we;
-        t.front_level <- level
-      end)
+        t.front_slot <- s;
+        t.front_level <- t.scan_level
+      end
+    end
+  end
+
+(* Remove the (valid, cached) front entry and mark it fired. *)
+let take_front t =
+  let s = t.front_slot in
+  let e = s.arr.(0) in
+  (match t.front_level with
+   | 0 ->
+     ignore (slot_pop s);
+     t.c0 <- t.c0 - 1
+   | 1 | 2 ->
+     (* Bring the entry's quantum into the L0 window (cascades move
+        it down), then take it off the front of its L0 slot. *)
+     advance_to t e.q;
+     let s = t.l0.(e.q land ((1 lsl bits0) - 1)) in
+     prune t s ~level:0;
+     ignore (slot_pop s);
+     t.c0 <- t.c0 - 1
+   | _ ->
+     ignore (slot_pop s);
+     (* Advance anyway so subsequent pushes place near the new now. *)
+     advance_to t e.q);
+  e.status <- Fired;
+  t.live <- t.live - 1;
+  t.front_ok <- false;
+  e
 
 let peek_time t =
   refresh_front t;
-  match t.front with
-  | None -> None
-  | Some e -> Some e.time
+  if t.front_ok then Some t.front_slot.arr.(0).time else None
 
 let pop t =
   refresh_front t;
-  match t.front with
-  | None -> None
-  | Some e ->
-    (match t.front_level with
-     | 0 ->
-       ignore (slot_pop t.l0.(e.q land ((1 lsl bits0) - 1)));
-       t.c0 <- t.c0 - 1
-     | 1 | 2 ->
-       (* Bring the entry's quantum into the L0 window (cascades move
-          it down), then take it off the front of its L0 slot. *)
-       advance_to t e.q;
-       let s = t.l0.(e.q land ((1 lsl bits0) - 1)) in
-       prune t s ~level:0;
-       ignore (slot_pop s);
-       t.c0 <- t.c0 - 1
-     | _ ->
-       ignore (slot_pop t.overflow);
-       (* Advance anyway so subsequent pushes place near the new now. *)
-       advance_to t e.q);
-    e.cell.status <- Fired;
-    t.live <- t.live - 1;
-    t.front <- None;
+  if t.front_ok then
+    let e = take_front t in
     Some (e.time, e.payload)
+  else None
+
+let next_time t =
+  refresh_front t;
+  if not t.front_ok then invalid_arg "Wheel.next_time: empty";
+  t.front_slot.arr.(0).time
+
+let pop_payload t =
+  refresh_front t;
+  if not t.front_ok then invalid_arg "Wheel.pop_payload: empty";
+  (take_front t).payload
 
 let size t = t.live
 
@@ -469,7 +558,7 @@ let is_empty t = t.live = 0
    minimum, and [advance_to] cascades exactly the slots a new window
    uncovers — so live entries never linger at a stale level above the
    one this function reports (the header argument: skipped slots hold
-   only cancelled entries). *)
+   only cancelled or already re-placed entries). *)
 let slot_of_quantum t q =
   if q lsr bits0 = t.b0 then Some (t.l0.(q land ((1 lsl bits0) - 1)), 0)
   else if q lsr (bits0 + bits1) = t.b1 then
@@ -479,15 +568,17 @@ let slot_of_quantum t q =
   else None
 
 (* Apply [f entry slot level heap_index] to every live entry whose
-   timestamp equals the front entry's.  Candidates live in the front
-   quantum's placement slot and (rarely) the overflow heap: equal times
-   share a quantum, so nothing else can hold one. *)
+   real deadline equals the front entry's.  The front has the least
+   placement key of all, and placement key <= real key, so such an
+   entry's placement time equals the front's too: it shares the front
+   quantum's placement slot or sits in the overflow heap.  A postponed
+   entry still placed at the front time is a tie only if it was
+   postponed to that same time; its real [due_seq] orders it. *)
 let iter_front_ties t front f =
   let scan s level =
     for i = 0 to s.len - 1 do
       let x = s.arr.(i) in
-      if x.cell.status = Live && Time.compare x.time front.time = 0 then
-        f x s level i
+      if x.status = Live && Time.compare x.due front.time = 0 then f x s level i
     done
   in
   (match slot_of_quantum t front.q with
@@ -497,43 +588,38 @@ let iter_front_ties t front f =
 
 let front_count t =
   refresh_front t;
-  match t.front with
-  | None -> 0
-  | Some e ->
+  if not t.front_ok then 0
+  else begin
     let n = ref 0 in
-    iter_front_ties t e (fun _ _ _ _ -> incr n);
+    iter_front_ties t t.front_slot.arr.(0) (fun _ _ _ _ -> incr n);
     !n
+  end
 
 let pop_kth t k =
   refresh_front t;
-  match t.front with
-  | None -> None
-  | Some e ->
-    if k = 0 then pop t
-    else begin
-      let cands = ref [] in
-      iter_front_ties t e (fun x s level i -> cands := (x, s, level, i) :: !cands);
-      let arr = Array.of_list !cands in
-      Array.sort
-        (fun ((a : _ entry), _, _, _) ((b : _ entry), _, _, _) ->
-          compare a.seq b.seq)
-        arr;
-      if k < 0 || k >= Array.length arr then
-        invalid_arg
-          (Printf.sprintf "Wheel.pop_kth: index %d out of %d front ties" k
-             (Array.length arr));
-      let x, s, level, i = arr.(k) in
-      slot_remove s i;
-      (match level with
-       | 0 -> t.c0 <- t.c0 - 1
-       | 1 -> t.c1 <- t.c1 - 1
-       | 2 -> t.c2 <- t.c2 - 1
-       | _ -> ());
-      x.cell.status <- Fired;
-      t.live <- t.live - 1;
-      t.front <- None;
-      (* Advance after removal, matching [pop]'s floor semantics: the
-         popped quantum becomes the wheel floor. *)
-      advance_to t x.q;
-      Some (x.time, x.payload)
-    end
+  if not t.front_ok then None
+  else if k = 0 then pop t
+  else begin
+    let cands = ref [] in
+    iter_front_ties t t.front_slot.arr.(0) (fun x s level i ->
+        cands := (x, s, level, i) :: !cands);
+    let arr = Array.of_list !cands in
+    Array.sort
+      (fun ((a : _ entry), _, _, _) ((b : _ entry), _, _, _) ->
+        compare a.due_seq b.due_seq)
+      arr;
+    if k < 0 || k >= Array.length arr then
+      invalid_arg
+        (Printf.sprintf "Wheel.pop_kth: index %d out of %d front ties" k
+           (Array.length arr));
+    let x, s, level, i = arr.(k) in
+    slot_remove s i;
+    uncount t level;
+    x.status <- Fired;
+    t.live <- t.live - 1;
+    t.front_ok <- false;
+    (* Advance after removal, matching [pop]'s floor semantics: the
+       popped quantum becomes the wheel floor. *)
+    advance_to t x.q;
+    Some (x.due, x.payload)
+  end

@@ -32,10 +32,34 @@ val push : 'a t -> Time.t -> 'a -> handle
 val cancel : 'a t -> handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
 
+val postpone : 'a t -> handle -> Time.t -> unit
+(** [postpone t h time] moves the live event [h] to the later (or
+    equal) deadline [time] in place: the handle stays valid, the
+    payload is kept, and the event takes a fresh sequence number.  Pops,
+    {!front_count} and {!pop_kth} then behave {e exactly} as after
+    [cancel t h] followed by a [push] of the same payload at [time]
+    (whose handle would replace [h]) — the same position in the global
+    push order included — but nothing is allocated and no cancelled
+    entry is left behind.  The entry keeps its slot and is re-placed
+    lazily, before it can be chosen.
+    @raise Invalid_argument if [h] is not live (fired or cancelled) or
+    [time] precedes its current deadline; an earlier deadline needs
+    [cancel] plus [push]. *)
+
 val is_cancelled : 'a t -> handle -> bool
 
 val peek_time : 'a t -> Time.t option
 (** Timestamp of the earliest live event, if any. *)
+
+val next_time : 'a t -> Time.t
+(** Timestamp of the earliest live event, without the option of
+    {!peek_time}: the run loop's allocation-free peek.
+    @raise Invalid_argument if the wheel is empty. *)
+
+val pop_payload : 'a t -> 'a
+(** Remove the earliest live event and return its payload, without
+    the option and pair of {!pop}; its time is {!next_time}'s just
+    before.  @raise Invalid_argument if the wheel is empty. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest live event.

@@ -36,6 +36,9 @@ let multicast_scope t =
     Some (Int64.to_int (Int64.shift_right_logical t.hi 48) land 0xf)
   else None
 
+let multicast_beyond_link t =
+  is_multicast t && Int64.to_int (Int64.shift_right_logical t.hi 48) land 0xf > 2
+
 let make_multicast ~scope ~group_id =
   if scope < 0 || scope > 15 then invalid_arg "Addr.make_multicast: scope nibble";
   let hi =

@@ -42,6 +42,11 @@ val multicast_scope : t -> int option
 (** Scope nibble of a multicast address (2 = link-local, 5 = site,
     14 = global); [None] for unicast addresses. *)
 
+val multicast_beyond_link : t -> bool
+(** A multicast address whose scope is wider than link-local (scope
+    nibble > 2): the groups a multicast router forwards off-link.
+    [multicast_scope] without the option. *)
+
 val make_multicast : scope:int -> group_id:int64 -> t
 (** Builds [ffxx::group_id] with the given scope nibble. *)
 

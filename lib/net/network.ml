@@ -139,9 +139,9 @@ let set_handler t node f = Hashtbl.replace t.handlers node f
 
 let count t link packet ~size =
   let cell =
-    match Hashtbl.find_opt t.per_link link with
-    | Some cell -> cell
-    | None ->
+    match Hashtbl.find t.per_link link with
+    | cell -> cell
+    | exception Not_found ->
       let cell = { c_packets = 0; c_bytes = 0; c_data_bytes = 0 } in
       Hashtbl.replace t.per_link link cell;
       cell
@@ -329,8 +329,8 @@ let deliver t ~link ~from ~to_node ~txsp cell =
       record_drop t ~to_node ~txsp Engine.Span.Loss_fault
     end
     else
-      match Hashtbl.find_opt t.handlers to_node with
-      | Some handler -> (
+      match Hashtbl.find t.handlers to_node with
+      | handler -> (
         match Engine.Sim.lineage t.sim with
         | None ->
           if t.wire_check then deliver_wire t ~link ~from ~to_node handler cell
@@ -349,8 +349,41 @@ let deliver t ~link ~from ~to_node ~txsp cell =
               if t.wire_check then deliver_wire t ~link ~from ~to_node handler cell
               else handler ~link ~from (Codec.Frame.packet cell));
           Engine.Span.close_span c ~at rx)
-      | None -> record_drop t ~to_node ~txsp Engine.Span.No_handler
+      | exception Not_found -> record_drop t ~to_node ~txsp Engine.Span.No_handler
   end
+
+(* One receiver's copy of a transmission, scheduled after [delay]. *)
+let schedule_delivery t ~link ~from ~txsp cell to_node delay =
+  ignore
+    (Engine.Sim.schedule_after ~category:"net" t.sim delay (fun () ->
+         deliver t ~link ~from ~to_node ~txsp cell))
+
+(* Per-receiver delay (reordering jitter, then the explored extra
+   delay) and duplication for one receiver of a transmission.  A plain
+   function of the transmission's values, so a transmit builds no
+   closures of its own. *)
+let deliver_to t ~link ~from ~txsp ~cond ~base_delay cell to_node =
+  let delay =
+    match cond with
+    | Some c when c.reorder > 0.0 && Engine.Rng.float t.reorder_rng 1.0 < c.reorder ->
+      t.reordered <- t.reordered + 1;
+      Engine.Time.add base_delay
+        (Engine.Rng.float t.reorder_rng (Engine.Time.seconds c.reorder_jitter))
+    | Some _ | None -> base_delay
+  in
+  let delay =
+    if t.delay_slots > 1 && Engine.Sim.decider_active t.sim then begin
+      let k = Engine.Sim.decide t.sim ~kind:Engine.Sim.Delay ~arity:t.delay_slots in
+      if k = 0 then delay else Engine.Time.add delay (t.delay_step *. float_of_int k)
+    end
+    else delay
+  in
+  schedule_delivery t ~link ~from ~txsp cell to_node delay;
+  match cond with
+  | Some c when c.dup > 0.0 && Engine.Rng.float t.dup_rng 1.0 < c.dup ->
+    t.duplicated <- t.duplicated + 1;
+    schedule_delivery t ~link ~from ~txsp cell to_node delay
+  | Some _ | None -> ()
 
 let transmit t ~from ~link dest packet =
   if not (Topology.is_attached t.topology from link) then begin
@@ -403,8 +436,9 @@ let transmit t ~from ~link dest packet =
          child of the receive span, which is exactly how a PIM-DM flood
          step becomes one child span per downstream link; with no
          ambient context (fresh injection) it roots a new trace.  When
-         collection is off [txsp] is -1 and the captured closure grows
-         by one immediate word — no allocation, no encode, no copy. *)
+         collection is off [txsp] is -1 and each delivery's closure
+         grows by one immediate word — no allocation, no encode, no
+         copy. *)
       let txsp =
         match Engine.Sim.lineage t.sim with
         | None -> -1
@@ -420,45 +454,14 @@ let transmit t ~from ~link dest packet =
           Engine.Span.close_span c ~at:(Engine.Time.add at base_delay) id;
           id
       in
-      let schedule to_node delay =
-        ignore
-          (Engine.Sim.schedule_after ~category:"net" t.sim delay (fun () ->
-               deliver t ~link ~from ~to_node ~txsp cell))
-      in
-      let deliver_to to_node =
-        let delay =
-          match cond with
-          | Some c when c.reorder > 0.0 && Engine.Rng.float t.reorder_rng 1.0 < c.reorder ->
-            t.reordered <- t.reordered + 1;
-            Engine.Time.add base_delay
-              (Engine.Rng.float t.reorder_rng (Engine.Time.seconds c.reorder_jitter))
-          | Some _ | None -> base_delay
-        in
-        let delay =
-          if t.delay_slots > 1 && Engine.Sim.decider_active t.sim then begin
-            let k =
-              Engine.Sim.decide t.sim ~kind:Engine.Sim.Delay
-                ~arity:t.delay_slots
-            in
-            if k = 0 then delay
-            else Engine.Time.add delay (t.delay_step *. float_of_int k)
-          end
-          else delay
-        in
-        schedule to_node delay;
-        match cond with
-        | Some c when c.dup > 0.0 && Engine.Rng.float t.dup_rng 1.0 < c.dup ->
-          t.duplicated <- t.duplicated + 1;
-          schedule to_node delay
-        | Some _ | None -> ()
-      in
       (match dest with
-       | To_node n -> deliver_to n
+       | To_node n -> deliver_to t ~link ~from ~txsp ~cond ~base_delay cell n
        | To_all ->
          (* Same members in the same ascending order the old
             list-building path produced, without the list. *)
          Topology.iter_nodes_on_link t.topology link (fun n ->
-             if not (Node_id.equal n from) then deliver_to n))
+             if not (Node_id.equal n from) then
+               deliver_to t ~link ~from ~txsp ~cond ~base_delay cell n))
   end
 
 let claim_address t node ~link addr = Hashtbl.replace t.owners (link, addr) node

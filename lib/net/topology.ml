@@ -36,15 +36,19 @@ let create () =
 
 let bump t = t.version <- t.version + 1
 
+(* [find] rather than [find_opt]: these run several times per packet,
+   and the option would be an allocation each time. *)
 let node t id =
-  match Node_id.Map.find_opt id t.node_table with
-  | Some n -> n
-  | None -> invalid_arg (Format.asprintf "Topology: unknown node %a" Node_id.pp id)
+  match Node_id.Map.find id t.node_table with
+  | n -> n
+  | exception Not_found ->
+    invalid_arg (Format.asprintf "Topology: unknown node %a" Node_id.pp id)
 
 let link t id =
-  match Link_id.Map.find_opt id t.link_table with
-  | Some l -> l
-  | None -> invalid_arg (Format.asprintf "Topology: unknown link %a" Link_id.pp id)
+  match Link_id.Map.find id t.link_table with
+  | l -> l
+  | exception Not_found ->
+    invalid_arg (Format.asprintf "Topology: unknown link %a" Link_id.pp id)
 
 let add_node t ~name ~kind =
   let id = Node_id.of_int t.next_node in

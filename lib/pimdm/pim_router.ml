@@ -6,6 +6,7 @@ type prune_state =
   | Pruned
 
 type oif = {
+  oif_iface : Pim_env.iface;
   mutable prune : prune_state;
   prune_timer : Engine.Timer.t;  (* pending->pruned, then pruned->forwarding *)
   mutable assert_lost : (int * int * Addr.t) option;  (* winner pref, metric, addr *)
@@ -28,6 +29,9 @@ type entry = {
   mutable iif_assert : (int * int * Addr.t) option;
   iif_assert_timer : Engine.Timer.t;
   oifs : (Pim_env.iface, oif) Hashtbl.t;
+  (* The same oifs in ascending interface order: the per-datagram
+     forwarding walk reads this instead of folding and sorting [oifs]. *)
+  mutable oif_order : oif array;
   expiry : Engine.Timer.t;
   mutable upstream_state : upstream_state;
   graft_timer : Engine.Timer.t;
@@ -46,6 +50,13 @@ type t = {
   env : Pim_env.t;
   entries : (Addr.t * Addr.t, entry) Hashtbl.t;
   neighbors : (Pim_env.iface * Addr.t, Engine.Timer.t) Hashtbl.t;
+  (* Live neighbours per interface, kept in step with [neighbors] so
+     the per-datagram [has_neighbors] test is one lookup. *)
+  neighbor_count : (Pim_env.iface, int ref) Hashtbl.t;
+  (* The result of the last successful [find_entry]: a stream hits the
+     same (S,G) datagram after datagram, and the memo answers without
+     the key pair, the hash or a fresh option. *)
+  mutable last_found : entry option;
   hello_timer : Engine.Timer.t;
   mutable running : bool;
 }
@@ -74,7 +85,14 @@ let sg entry = { Pim_message.source = entry.source; group = entry.group }
 (* ---- neighbours ---- *)
 
 let has_neighbors t iface =
-  Hashtbl.fold (fun (i, _) _ acc -> acc || i = iface) t.neighbors false
+  match Hashtbl.find t.neighbor_count iface with
+  | n -> !n > 0
+  | exception Not_found -> false
+
+let count_neighbor t iface delta =
+  match Hashtbl.find t.neighbor_count iface with
+  | n -> n := !n + delta
+  | exception Not_found -> Hashtbl.replace t.neighbor_count iface (ref delta)
 
 let neighbors t ~iface =
   Hashtbl.fold (fun (i, a) _ acc -> if i = iface then a :: acc else acc) t.neighbors []
@@ -87,9 +105,12 @@ let refresh_neighbor t iface addr ~holdtime =
     let timer =
       Engine.Timer.create ~category:"pim" t.env.Pim_env.sim
         ~name:(Printf.sprintf "%s.nbr.%d" t.env.Pim_env.label iface)
-        ~on_expire:(fun () -> Hashtbl.remove t.neighbors (iface, addr))
+        ~on_expire:(fun () ->
+          Hashtbl.remove t.neighbors (iface, addr);
+          count_neighbor t iface (-1))
     in
     Hashtbl.replace t.neighbors (iface, addr) timer;
+    count_neighbor t iface 1;
     Engine.Timer.start timer holdtime;
     trace t "neighbor %s on iface %d" (Addr.to_string addr) iface
 
@@ -124,12 +145,14 @@ let delete_entry t entry =
    | Some h -> Engine.Sim.cancel t.env.Pim_env.sim h
    | None -> ());
   Hashtbl.remove t.entries (entry_key entry.source entry.group);
+  t.last_found <- None;
   trace t "(%s,%s) state expired" (Addr.to_string entry.source) (Addr.to_string entry.group)
 
-let make_oif t label =
+let make_oif t label iface =
   let rec o =
     lazy
-      { prune = Forwarding;
+      { oif_iface = iface;
+        prune = Forwarding;
         prune_timer =
           Engine.Timer.create ~category:"pim" t.env.Pim_env.sim ~name:(label ^ ".prune")
             ~on_expire:(fun () ->
@@ -147,6 +170,12 @@ let make_oif t label =
         leaf_flooded = false }
   in
   Lazy.force o
+
+(* Rebuild [oif_order] after [oifs] changed. *)
+let index_oifs entry =
+  let order = Array.of_seq (Hashtbl.to_seq_values entry.oifs) in
+  Array.sort (fun a b -> Int.compare a.oif_iface b.oif_iface) order;
+  entry.oif_order <- order
 
 (* Send a State Refresh for the entry on every interface with PIM
    neighbours (pruned ones included: that is how their prune state is
@@ -190,6 +219,7 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
                 if e.upstream_state = Pruned_up then e.upstream_state <- Joined
               end);
         oifs = Hashtbl.create 4;
+        oif_order = [||];
         expiry =
           Engine.Timer.create ~category:"pim" t.env.Pim_env.sim ~name:(label ^ ".expiry")
             ~on_expire:(fun () -> delete_entry t (Lazy.force entry));
@@ -228,8 +258,10 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
   List.iter
     (fun iface ->
       if iface <> entry.iif then
-        Hashtbl.replace entry.oifs iface (make_oif t (Printf.sprintf "%s.oif%d" label iface)))
+        Hashtbl.replace entry.oifs iface
+          (make_oif t (Printf.sprintf "%s.oif%d" label iface) iface))
     (t.env.Pim_env.interfaces ());
+  index_oifs entry;
   Hashtbl.replace t.entries (entry_key source group) entry;
   Engine.Timer.start entry.expiry (config t).Pim_config.data_timeout;
   (* First-hop routers originate State Refresh when the extension is
@@ -255,7 +287,15 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
      | None -> "direct");
   entry
 
-let find_entry t ~source ~group = Hashtbl.find_opt t.entries (entry_key source group)
+let find_entry t ~source ~group =
+  match t.last_found with
+  | Some e as hit when Addr.equal e.source source && Addr.equal e.group group -> hit
+  | Some _ | None ->
+    let found = Hashtbl.find_opt t.entries (entry_key source group) in
+    (match found with
+     | Some _ -> t.last_found <- found
+     | None -> ());
+    found
 
 let find_or_create_entry t ~source ~group =
   match find_entry t ~source ~group with
@@ -281,11 +321,10 @@ let oif_would_forward t entry iface o =
         && t.env.Pim_env.flood_eligible iface
         && not o.leaf_flooded)
 
-let olist t entry =
-  Hashtbl.fold
-    (fun iface o acc -> if oif_would_forward t entry iface o then (iface, o) :: acc else acc)
-    entry.oifs []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+(* Whether any interface would carry (S,G) data: the outgoing list is
+   non-empty. *)
+let forwards_any t entry =
+  Array.exists (fun o -> oif_would_forward t entry o.oif_iface o) entry.oif_order
 
 (* ---- upstream prune / graft / join ---- *)
 
@@ -386,15 +425,24 @@ let cancel_join_override t entry =
 
 (* ---- data plane ---- *)
 
+(* Replicate onto the outgoing list in ascending interface order.  Each
+   interface's decision reads only its own [leaf_flooded] and state no
+   transmission changes, so deciding and sending in one pass forwards
+   exactly what computing the whole list first did. *)
 let forward t entry packet =
-  let targets = olist t entry in
-  List.iter
-    (fun (iface, o) ->
+  let oifs = entry.oif_order in
+  let sent = ref false in
+  for i = 0 to Array.length oifs - 1 do
+    let o = Array.unsafe_get oifs i in
+    let iface = o.oif_iface in
+    if oif_would_forward t entry iface o then begin
+      sent := true;
       if not (has_neighbors t iface) && not (t.env.Pim_env.has_local_members iface entry.group)
       then o.leaf_flooded <- true;
-      t.env.Pim_env.forward_data iface packet)
-    targets;
-  if targets = [] then begin
+      t.env.Pim_env.forward_data iface packet
+    end
+  done;
+  if not !sent then begin
     (* No downstream interface wanted it: the datagram dies here, and
        the lineage records the typed reason before the Prune goes out
        (so the chain reads drop → prune → later graft). *)
@@ -474,7 +522,7 @@ let handle_prune t ~iface ~upstream_neighbor entry =
     && (match entry.upstream with
         | Some up -> Addr.equal up upstream_neighbor
         | None -> false)
-    && olist t entry <> []
+    && forwards_any t entry
   then
     (* Someone pruned the link we depend on: override. *)
     schedule_join_override t entry
@@ -635,7 +683,7 @@ let handle_state_refresh t ~iface ~refresh_source ~refresh_group ~interval_s
   | Some entry ->
     if iface = entry.iif then begin
       Engine.Timer.start entry.expiry (config t).Pim_config.data_timeout;
-      let needs_traffic = olist t entry <> [] in
+      let needs_traffic = forwards_any t entry in
       if not needs_traffic then begin
         (* A pruned downstream router answers the refresh by renewing
            its Prune, which keeps the upstream branch pruned (RFC
@@ -718,11 +766,14 @@ let local_members_changed t ~iface ~group ~present =
 let interface_added t ~iface =
   Hashtbl.iter
     (fun (source, group) entry ->
-      if iface <> entry.iif && not (Hashtbl.mem entry.oifs iface) then
+      if iface <> entry.iif && not (Hashtbl.mem entry.oifs iface) then begin
         Hashtbl.replace entry.oifs iface
           (make_oif t
              (Printf.sprintf "%s.(%s,%s).oif%d" t.env.Pim_env.label (Addr.to_string source)
-                (Addr.to_string group) iface)))
+                (Addr.to_string group) iface)
+             iface);
+        index_oifs entry
+      end)
     t.entries
 
 (* ---- lifecycle ---- *)
@@ -733,6 +784,8 @@ let create env =
       { env;
         entries = Hashtbl.create 8;
         neighbors = Hashtbl.create 8;
+        neighbor_count = Hashtbl.create 8;
+        last_found = None;
         hello_timer =
           Engine.Timer.create ~category:"pim" env.Pim_env.sim ~name:(env.Pim_env.label ^ ".hello")
             ~on_expire:(fun () ->
@@ -755,13 +808,15 @@ let stop t =
   Engine.Timer.stop t.hello_timer;
   Hashtbl.iter (fun _ timer -> Engine.Timer.stop timer) t.neighbors;
   Hashtbl.reset t.neighbors;
+  Hashtbl.reset t.neighbor_count;
   let all = Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [] in
   List.iter
     (fun e ->
       stop_entry_timers e;
       cancel_join_override t e)
     all;
-  Hashtbl.reset t.entries
+  Hashtbl.reset t.entries;
+  t.last_found <- None
 
 (* ---- introspection ---- *)
 

@@ -190,22 +190,58 @@ let wheel_tests =
           (fun () -> ignore (Wheel.push w 5.0 ())));
   ]
 
+(* A live event in the wheel-vs-heap models: the wheel keeps its
+   handle across [postpone]; the heap side cancels and pushes the same
+   payload afresh, so its handle changes.  [due] and [order] (a model
+   push counter both sides advance alike) locate the queue's front. *)
+type model_event = {
+  id : int;
+  wh : Wheel.handle;
+  mutable qh : Event_queue.handle;
+  mutable due : float;
+  mutable order : int;
+}
+
+(* Postpone [ev] to [time] on both sides — the wheel in place, the
+   reference heap by cancel plus push of the same payload. *)
+let postpone_both w q ev ~order time =
+  Wheel.postpone w ev.wh time;
+  Event_queue.cancel q ev.qh;
+  ev.qh <- Event_queue.push q time ev.id;
+  ev.due <- time;
+  ev.order <- order
+
+(* The earliest live event of the model (the cached front's owner). *)
+let model_front live =
+  List.fold_left
+    (fun best ev ->
+      match best with
+      | Some b when b.due < ev.due || (b.due = ev.due && b.order < ev.order) -> best
+      | Some _ | None -> Some ev)
+    None live
+
+(* Postponement deltas: a fifth are zero (same deadline, fresh seq);
+   the rest are scaled over [scales], which reach every tier. *)
+let postpone_delta scales draw pick =
+  if draw mod 5 = 0 then 0.0 else float_of_int (draw mod 997) *. scales.(pick land 3)
+
 let wheel_properties =
   let wheel_matches_heap =
     (* The wheel must be observationally identical to the binary heap
-       under any schedule/cancel/pop interleaving the simulator can
-       produce (deadlines never precede the last popped time).  Deltas
-       are scaled to land in every placement tier — L0 slots, L1/L2
-       cascades, and the overflow heap. *)
+       under any schedule/cancel/postpone/pop interleaving the
+       simulator can produce (deadlines never precede the last popped
+       time).  Deltas are scaled to land in every placement tier — L0
+       slots, L1/L2 cascades, and the overflow heap — and postponements
+       hit random events, the cached front, and the same deadline. *)
     QCheck.Test.make ~name:"wheel and heap fire identical sequences" ~count:300
-      QCheck.(list (triple (int_range 0 5) (int_range 0 2_000_000) (int_range 0 15)))
+      QCheck.(list (triple (int_range 0 7) (int_range 0 2_000_000) (int_range 0 15)))
       (fun ops ->
         let w = Wheel.create () in
         let q = Event_queue.create () in
         let scales = [| 0.0005; 0.3; 40.0; 3000.0 |] in
         let now = ref 0.0 in
         let next_id = ref 0 in
-        (* Live entries: (id, wheel handle, heap handle). *)
+        let order = ref 0 in
         let live = ref [] in
         let ok = ref true in
         List.iter
@@ -220,24 +256,38 @@ let wheel_properties =
               incr next_id;
               let wh = Wheel.push w time id in
               let qh = Event_queue.push q time id in
-              live := (id, wh, qh) :: !live
+              live := { id; wh; qh; due = time; order = !order } :: !live;
+              incr order
             | 3 -> (
               match !live with
               | [] -> ()
               | entries ->
-                let ((_, wh, qh) as victim) =
-                  List.nth entries (pick mod List.length entries)
-                in
-                Wheel.cancel w wh;
-                Event_queue.cancel q qh;
+                let victim = List.nth entries (pick mod List.length entries) in
+                Wheel.cancel w victim.wh;
+                Event_queue.cancel q victim.qh;
                 live := List.filter (fun e -> e != victim) entries)
+            | 6 | 7 -> (
+              (* 6: a random live event; 7: the front itself. *)
+              let target =
+                match !live with
+                | [] -> None
+                | entries when tag = 6 ->
+                  Some (List.nth entries (pick mod List.length entries))
+                | entries -> model_front entries
+              in
+              match target with
+              | None -> ()
+              | Some ev ->
+                postpone_both w q ev ~order:!order
+                  (ev.due +. postpone_delta scales draw pick);
+                incr order)
             | _ -> (
               if Wheel.peek_time w <> Event_queue.peek_time q then ok := false;
               match (Wheel.pop w, Event_queue.pop q) with
               | None, None -> ()
               | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
                 now := wt;
-                live := List.filter (fun (i, _, _) -> i <> wid) !live
+                live := List.filter (fun ev -> ev.id <> wid) !live
               | _ -> ok := false))
           ops;
         (* Drain whatever is left and compare the tails too. *)
@@ -252,6 +302,70 @@ let wheel_properties =
         !ok)
   in
   List.map QCheck_alcotest.to_alcotest [ wheel_matches_heap ]
+
+let postpone_tests =
+  let drain w =
+    let rec loop acc =
+      match Wheel.pop w with None -> List.rev acc | Some e -> loop (e :: acc)
+    in
+    loop []
+  in
+  [ Alcotest.test_case "postpone orders like cancel then push" `Quick (fun () ->
+        (* Three events at 5 s; postponing the first to the same time
+           sends it behind the others (fresh seq), and postponing the
+           cached front (after a peek) to 6 s lets the next one lead. *)
+        let w = Wheel.create () in
+        let a = Wheel.push w 5.0 "a" in
+        let _b = Wheel.push w 5.0 "b" in
+        let c = Wheel.push w 5.0 "c" in
+        let _d = Wheel.push w 6.0 "d" in
+        Alcotest.(check (option (float 1e-9))) "front" (Some 5.0) (Wheel.peek_time w);
+        Wheel.postpone w a 5.0;
+        Wheel.postpone w c 6.0;
+        Alcotest.(check int) "still four live" 4 (Wheel.size w);
+        Alcotest.(check int) "two front ties" 2 (Wheel.front_count w);
+        Alcotest.(check (list (pair (float 1e-9) string)))
+          "order"
+          [ (5.0, "b"); (5.0, "a"); (6.0, "d"); (6.0, "c") ]
+          (drain w));
+    Alcotest.test_case "postpone across every tier" `Quick (fun () ->
+        (* An L0 event moved to L1, L2 and the overflow in turn still
+           pops once, last, at its final deadline. *)
+        let w = Wheel.create () in
+        let h = Wheel.push w 0.5 "moved" in
+        ignore (Wheel.push w 0.75 "l0");
+        ignore (Wheel.push w 100.0 "l1");
+        ignore (Wheel.push w 10_000.0 "l2");
+        List.iter (Wheel.postpone w h) [ 50.0; 5_000.0; 500_000.0 ];
+        Alcotest.(check (list (pair (float 1e-9) string)))
+          "order"
+          [ (0.75, "l0"); (100.0, "l1"); (10_000.0, "l2"); (500_000.0, "moved") ]
+          (drain w));
+    Alcotest.test_case "postpone rejects dead handles and earlier times" `Quick
+      (fun () ->
+        let w = Wheel.create () in
+        let h = Wheel.push w 5.0 () in
+        Alcotest.check_raises "earlier"
+          (Invalid_argument "Wheel.postpone: deadline precedes the current one")
+          (fun () -> Wheel.postpone w h 4.0);
+        Wheel.cancel w h;
+        Alcotest.check_raises "cancelled"
+          (Invalid_argument "Wheel.postpone: event is not live")
+          (fun () -> Wheel.postpone w h 6.0);
+        let f = Wheel.push w 7.0 () in
+        ignore (Wheel.pop w);
+        Alcotest.check_raises "fired"
+          (Invalid_argument "Wheel.postpone: event is not live")
+          (fun () -> Wheel.postpone w f 8.0));
+    Alcotest.test_case "cancel after postpone removes the event" `Quick (fun () ->
+        let w = Wheel.create () in
+        let h = Wheel.push w 1.0 "x" in
+        ignore (Wheel.push w 2.0 "y");
+        Wheel.postpone w h 3.0;
+        Wheel.cancel w h;
+        Alcotest.(check int) "one live" 1 (Wheel.size w);
+        Alcotest.(check (list (pair (float 1e-9) string))) "only y" [ (2.0, "y") ] (drain w))
+  ]
 
 (* Satellite of the schedule-exploration work: the same-timestamp
    ordering contract (pops strictly increasing in (time, push seq)) and
@@ -323,15 +437,18 @@ let tie_break_tests =
   let agree =
     QCheck.Test.make
       ~name:"wheel and heap agree under pop_kth tie-breaks" ~count:300
-      QCheck.(list (triple (int_range 0 5) (int_range 0 2_000_000) (int_range 0 15)))
+      QCheck.(list (triple (int_range 0 7) (int_range 0 2_000_000) (int_range 0 15)))
       (fun ops ->
         let w = Wheel.create () in
         let q = Event_queue.create () in
         (* Coarse deltas so same-time collisions are the norm, spread
-           across placement tiers (L0, L1/L2 cascades, overflow). *)
+           across placement tiers (L0, L1/L2 cascades, overflow);
+           postponements (often to the same deadline, often of the
+           front) reorder ties and must be counted and chosen alike. *)
         let scales = [| 0.25; 40.0; 3000.0; 0.0 |] in
         let now = ref 0.0 in
         let next_id = ref 0 in
+        let order = ref 0 in
         let live = ref [] in
         let ok = ref true in
         List.iter
@@ -345,17 +462,33 @@ let tie_break_tests =
               incr next_id;
               let wh = Wheel.push w time id in
               let qh = Event_queue.push q time id in
-              live := (id, wh, qh) :: !live
+              live := { id; wh; qh; due = time; order = !order } :: !live;
+              incr order
             | 3 -> (
               match !live with
               | [] -> ()
               | entries ->
-                let ((_, wh, qh) as victim) =
-                  List.nth entries (pick mod List.length entries)
-                in
-                Wheel.cancel w wh;
-                Event_queue.cancel q qh;
+                let victim = List.nth entries (pick mod List.length entries) in
+                Wheel.cancel w victim.wh;
+                Event_queue.cancel q victim.qh;
                 live := List.filter (fun e -> e != victim) entries)
+            | 6 | 7 -> (
+              let target =
+                match !live with
+                | [] -> None
+                | entries when tag = 6 ->
+                  Some (List.nth entries (pick mod List.length entries))
+                | entries -> model_front entries
+              in
+              match target with
+              | None -> ()
+              | Some ev ->
+                let delta =
+                  if draw mod 3 = 0 then 0.0
+                  else float_of_int (draw mod 7) *. scales.(pick land 3)
+                in
+                postpone_both w q ev ~order:!order (ev.due +. delta);
+                incr order)
             | _ -> (
               let wn = Wheel.front_count w in
               let qn = Event_queue.front_count q in
@@ -365,7 +498,7 @@ let tie_break_tests =
                 match (Wheel.pop_kth w k, Event_queue.pop_kth q k) with
                 | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
                   now := wt;
-                  live := List.filter (fun (i, _, _) -> i <> wid) !live
+                  live := List.filter (fun ev -> ev.id <> wid) !live
                 | _ -> ok := false))
           ops;
         if Wheel.size w <> List.length !live then ok := false;
@@ -486,7 +619,75 @@ let timer_tests =
         Timer.start timer 2.0;
         Sim.run sim;
         Alcotest.(check int) "three firings" 3 !count;
-        Alcotest.(check (float 1e-9)) "ends at 6" 6.0 (Sim.now sim))
+        Alcotest.(check (float 1e-9)) "ends at 6" 6.0 (Sim.now sim));
+    Alcotest.test_case "10000 restarts keep one pending event" `Quick (fun () ->
+        let sim = Sim.create () in
+        let fired = ref [] in
+        let t = Timer.create sim ~name:"t" ~on_expire:(fun () -> fired := Sim.now sim :: !fired) in
+        Timer.start t 1.0;
+        for i = 1 to 10_000 do
+          Timer.start t (1.0 +. float_of_int i);
+          if Sim.pending sim <> 1 then Alcotest.failf "restart %d: %d pending" i (Sim.pending sim)
+        done;
+        Sim.run sim;
+        Alcotest.(check (list (float 1e-9))) "fires once, at the last expiry" [ 10_001.0 ] !fired);
+    Alcotest.test_case "a restart allocates only the new expiry" `Quick (fun () ->
+        (* Durations are boxed up front and the partial application is
+           built before measuring, so the delta is what [start] itself
+           allocates: the two words of the boxed expiry time. *)
+        let sim = Sim.create () in
+        let t = Timer.create sim ~name:"t" ~on_expire:(fun () -> ()) in
+        Timer.start t 1.0;
+        let n = 10_000 in
+        let durations = List.init n (fun i -> Time.of_seconds (2.0 +. float_of_int i)) in
+        let restart = Timer.start t in
+        let before = Gc.minor_words () in
+        List.iter restart durations;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) "words" (2 * n) (int_of_float words);
+        Alcotest.(check int) "one pending" 1 (Sim.pending sim));
+    Alcotest.test_case "restart to an earlier expiry fires early" `Quick (fun () ->
+        let sim = Sim.create () in
+        let fired = ref [] in
+        let t = Timer.create sim ~name:"t" ~on_expire:(fun () -> fired := Sim.now sim :: !fired) in
+        Timer.start t 10.0;
+        Timer.start t 20.0;
+        Timer.start t 4.0;
+        Alcotest.(check int) "one pending" 1 (Sim.pending sim);
+        Alcotest.(check (option (float 1e-9))) "expiry" (Some 4.0) (Timer.expiry t);
+        Sim.run sim;
+        Alcotest.(check (list (float 1e-9))) "at 4 only" [ 4.0 ] !fired);
+    Alcotest.test_case "expiry and remaining follow the newest start" `Quick (fun () ->
+        let sim = Sim.create () in
+        let t = Timer.create sim ~name:"t" ~on_expire:(fun () -> ()) in
+        Timer.start t 5.0;
+        ignore
+          (Sim.schedule_at sim 3.0 (fun () ->
+               Timer.start t 5.0;
+               Alcotest.(check (option (float 1e-9))) "later" (Some 8.0) (Timer.expiry t);
+               Timer.start t 5.0;
+               Alcotest.(check (option (float 1e-9))) "same" (Some 8.0) (Timer.expiry t);
+               Timer.start t 1.0;
+               Alcotest.(check (option (float 1e-9))) "earlier" (Some 4.0) (Timer.expiry t);
+               Alcotest.(check (option (float 1e-9))) "remaining" (Some 1.0) (Timer.remaining t)));
+        Sim.run ~until:3.5 sim;
+        Alcotest.(check (option (float 1e-9))) "remaining at 3.5" (Some 0.5) (Timer.remaining t);
+        Sim.run sim;
+        Alcotest.(check (option (float 1e-9))) "disarmed after firing" None (Timer.expiry t));
+    Alcotest.test_case "stop after a restart cancels exactly" `Quick (fun () ->
+        let sim = Sim.create () in
+        let fired = ref [] in
+        let mk name = Timer.create sim ~name ~on_expire:(fun () -> fired := name :: !fired) in
+        let a = mk "a" and b = mk "b" in
+        Timer.start a 5.0;
+        Timer.start b 8.0;
+        Timer.start a 8.0;
+        Timer.stop a;
+        Alcotest.(check bool) "a disarmed" false (Timer.is_armed a);
+        Alcotest.(check int) "only b pending" 1 (Sim.pending sim);
+        Timer.start a 8.0;
+        Sim.run sim;
+        Alcotest.(check (list string)) "b, then the re-armed a" [ "b"; "a" ] (List.rev !fired))
   ]
 
 let rng_tests =
@@ -798,7 +999,7 @@ let () =
   Alcotest.run "engine"
     [ ("time", time_tests);
       ("event_queue", event_queue_tests @ event_queue_properties);
-      ("wheel", wheel_tests @ wheel_properties);
+      ("wheel", wheel_tests @ wheel_properties @ postpone_tests);
       ("tie-break", tie_break_tests);
       ("sim", sim_tests);
       ("timer", timer_tests);

@@ -620,12 +620,121 @@ let determinism_tests =
           (rx_of (run 1234)))
   ]
 
+(* The receiver's duplicate filter: exact for any (stream, seq), even
+   the seqs a corrupted frame can carry, and bounded in memory. *)
+let dup_filter_tests =
+  let module Seen = Host_stack.Seen in
+  let unit_tests =
+    [ Alcotest.test_case "seq 0 and interleaved streams" `Quick (fun () ->
+          let seen = Seen.create () in
+          let first stream seq = Seen.first_sighting seen ~stream ~seq in
+          Alcotest.(check bool) "0 is new" true (first 1 0);
+          Alcotest.(check bool) "0 again is a duplicate" false (first 1 0);
+          Alcotest.(check bool) "same seq, other stream" true (first 2 0);
+          for seq = 1 to 3000 do
+            List.iter
+              (fun stream ->
+                if not (first stream seq) then Alcotest.failf "s%d#%d not new" stream seq)
+              [ 1; 2; 3 ]
+          done;
+          for seq = 0 to 3000 do
+            if first 1 seq || first 2 seq then Alcotest.failf "#%d not a duplicate" seq
+          done;
+          Alcotest.(check bool) "stream 3 never saw 0" true (first 3 0);
+          Alcotest.(check int) "all in the bitsets" 0 (Seen.fallback_size seen));
+      Alcotest.test_case "negative and out-of-range seqs stay exact and bounded" `Quick
+        (fun () ->
+          let seen = Seen.create () in
+          let first seq = Seen.first_sighting seen ~stream:5 ~seq in
+          let odd = [ -1; min_int; max_int; 1 lsl 40; 100_000 ] in
+          List.iter (fun seq -> Alcotest.(check bool) "new" true (first seq)) odd;
+          List.iter (fun seq -> Alcotest.(check bool) "duplicate" false (first seq)) odd;
+          Alcotest.(check int) "all in the fallback" 5 (Seen.fallback_size seen);
+          Alcotest.(check bool) "no bitset for them" true (Seen.bitset_bytes seen <= 1024);
+          (* The stream itself then advances past 100000: the bitset
+             grows to cover it, absorbs the fallback entry, and still
+             reports it as already seen. *)
+          let fresh = ref 0 in
+          for seq = 0 to 120_000 do
+            if first seq then incr fresh
+          done;
+          Alcotest.(check int) "100000 was a duplicate" 120_000 !fresh;
+          Alcotest.(check int) "100000 moved into the bitset" 4 (Seen.fallback_size seen);
+          Alcotest.(check bool) "bitset within budget" true
+            (Seen.bitset_bytes seen <= 120_005 + 1024))
+    ]
+  in
+  let matches_reference =
+    QCheck.Test.make ~name:"filter matches an exact set" ~count:200
+      QCheck.(list (pair (int_range 0 3) (int_range 0 99)))
+      (fun draws ->
+        let seen = Seen.create () in
+        let reference = Hashtbl.create 64 in
+        let distinct = ref 0 in
+        List.for_all
+          (fun (stream, r) ->
+            (* Mostly dense seqs, some negative, some far ahead. *)
+            let seq =
+              if r < 70 then r * 37 mod 500
+              else if r < 80 then -r
+              else if r < 90 then (r * 1_000_003) lsl 8
+              else max_int - r
+            in
+            let expected = not (Hashtbl.mem reference (stream, seq)) in
+            if expected then begin
+              Hashtbl.replace reference (stream, seq) ();
+              incr distinct
+            end;
+            Seen.first_sighting seen ~stream ~seq = expected
+            && Seen.bitset_bytes seen <= !distinct + (4 * 1024))
+          draws)
+  in
+  let end_to_end =
+    Alcotest.test_case "a datagram arriving natively and tunnelled counts once" `Quick
+      (fun () ->
+        (* R1 listens at home on L1; S injects the same datagrams once
+           natively and once encapsulated towards R1's home address,
+           in both orders. *)
+        let s = Scenario.paper_figure1 Scenario.default_spec in
+        let r1 = Scenario.host s "R1" and src = Scenario.host s "S" in
+        Traffic.at s 5.0 (fun () -> Host_stack.subscribe r1 group);
+        Scenario.run_until s 10.0;
+        let data seq =
+          Packet.make ~src:(Host_stack.home_address src) ~dst:group
+            (Packet.Data { stream_id = 77; seq; bytes = 64 })
+        in
+        let send packet =
+          Net.Network.transmit s.Scenario.net ~from:(Host_stack.node_id src)
+            ~link:(Scenario.link s "L1")
+            (Net.Network.To_node (Host_stack.node_id r1))
+            packet
+        in
+        let tunnelled seq =
+          Packet.make ~src:(Host_stack.home_address src) ~dst:(Host_stack.home_address r1)
+            (Packet.Encapsulated (data seq))
+        in
+        let received0 = Host_stack.received_count r1 ~group in
+        let dups0 = Host_stack.duplicate_count r1 ~group in
+        send (data 0);
+        send (tunnelled 0);
+        send (tunnelled 1);
+        send (data 1);
+        send (data 1);
+        Scenario.run_until s 11.0;
+        Alcotest.(check int) "two datagrams delivered" (received0 + 2)
+          (Host_stack.received_count r1 ~group);
+        Alcotest.(check int) "three duplicates" (dups0 + 3)
+          (Host_stack.duplicate_count r1 ~group))
+  in
+  unit_tests @ [ end_to_end ] @ List.map QCheck_alcotest.to_alcotest [ matches_reference ]
+
 let () =
   Alcotest.run "mmcast"
     [ ("approach", approach_tests);
       ("load", load_tests);
       ("scenario", scenario_tests);
       ("host stack", host_stack_tests @ edge_case_tests);
+      ("dup filter", dup_filter_tests);
       ("forwarding", hop_limit_tests);
       ("router stack", router_stack_tests);
       ("metrics", metrics_tests);
